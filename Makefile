@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check fmt fmt-check vet build test race test-race bench bench-smoke bench-json bench-engine bench-engine-check bench-parallel bench-parallel-check bench-faults bench-prof bench-serve bench-serve-check fuzz scenario-smoke
+.PHONY: all check fmt fmt-check vet build test race test-race bench bench-smoke bench-json bench-engine bench-engine-check bench-parallel bench-parallel-check bench-faults bench-prof bench-serve bench-serve-check bench-repo fuzz scenario-smoke
 
 all: check
 
@@ -100,6 +100,19 @@ bench-serve:
 # runners with fewer CPUs than the baseline machine.
 bench-serve-check:
 	$(GO) run ./cmd/tccbench -bench serve -out BENCH_serve.json -baseline BENCH_serve.json -repeat 5
+
+# Repository benchmark (bench/, a nested module that the root
+# `go test ./...` never reaches): run its tests, plain and under -race at
+# GOMAXPROCS=2, then a short run that fails unless its last output line
+# reports "correct":true — i.e. every simulated output still matches
+# bench/golden.json.
+bench-repo:
+	cd bench && $(GO) test ./... && GOMAXPROCS=2 $(GO) test -race ./...
+	@last=$$(bash bench/run.sh --seconds 2 | tail -n 1); \
+	case "$$last" in \
+	*'"correct":true'*) echo "bench: outputs match bench/golden.json" ;; \
+	*) echo "bench: outputs do not match bench/golden.json: $$last"; exit 1 ;; \
+	esac
 
 # Smoke-run the scenario runner: the committed fault-recovery spec with
 # the serial-vs-parallel determinism gate, the committed 2x2 sweep grid

@@ -20,6 +20,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"sync/atomic"
 	"time"
 
 	tccluster "repro"
@@ -180,7 +181,9 @@ func parallelAllreduceRing(w, h, workers, steps int) parallelRun {
 		senders[i] = s
 		receivers[(i+1)%n] = r
 	}
-	completed := 0
+	// Ranks finish on their own partition's goroutine, so the completion
+	// count must be atomic.
+	var completed atomic.Int64
 	for i := 0; i < n; i++ {
 		buf := make([]byte, 64)
 		buf[0] = byte(i)
@@ -189,7 +192,7 @@ func parallelAllreduceRing(w, h, workers, steps int) parallelRun {
 		var step func(s int)
 		step = func(s int) {
 			if s >= steps {
-				completed++
+				completed.Add(1)
 				return
 			}
 			recv.Recv(func(d []byte, err error) {
@@ -210,8 +213,8 @@ func parallelAllreduceRing(w, h, workers, steps int) parallelRun {
 	t0 := time.Now()
 	c.Run()
 	wall := time.Since(t0).Seconds()
-	if completed != n {
-		check(fmt.Errorf("parallel bench: %d of %d ranks completed the ring", completed, n))
+	if got := completed.Load(); got != int64(n) {
+		check(fmt.Errorf("parallel bench: %d of %d ranks completed the ring", got, n))
 	}
 	return finishParallelRun(c, workers, wall, c.EventsFired()-startFired)
 }

@@ -244,7 +244,7 @@ func TestSupernodeCrossSocketReadWorksTCCReadStrands(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []byte
-	n0.Machine().Procs[0].NB.CPURead(n0.MemBase()+memPerSocket+0x40, 64, func(d []byte, err error) {
+	n0.Machine().Procs[0].NB.CPURead(n0.MemBase()+memPerSocket+0x40, make([]byte, 64), func(d []byte, err error) {
 		if err != nil {
 			t.Errorf("cross-socket read: %v", err)
 			return
@@ -258,7 +258,7 @@ func TestSupernodeCrossSocketReadWorksTCCReadStrands(t *testing.T) {
 
 	// The same hardware read across the TCCluster link strands.
 	answered := false
-	n0.Machine().Procs[0].NB.CPURead(c.Node(1).MemBase()+0x40, 64, func([]byte, error) {
+	n0.Machine().Procs[0].NB.CPURead(c.Node(1).MemBase()+0x40, make([]byte, 64), func([]byte, error) {
 		answered = true
 	})
 	c.Run()
@@ -419,7 +419,7 @@ func TestQuiescenceAfterTraffic(t *testing.T) {
 // quiescence checker must catch.
 func TestQuiescenceCatchesLeaks(t *testing.T) {
 	c := chainCluster(t, 2)
-	c.Node(0).Machine().Procs[0].NB.CPURead(c.Node(1).MemBase()+0x40, 64, func([]byte, error) {})
+	c.Node(0).Machine().Procs[0].NB.CPURead(c.Node(1).MemBase()+0x40, make([]byte, 64), func([]byte, error) {})
 	c.Run()
 	if err := c.CheckQuiescent(); err == nil {
 		t.Fatal("stranded read not flagged by quiescence check")
@@ -638,7 +638,7 @@ func TestSupernodeFarSocketReadTransitsResponses(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []byte
-	n0.Machine().Procs[0].NB.CPURead(n0.MemBase()+3*per+0x40, 64, func(d []byte, err error) {
+	n0.Machine().Procs[0].NB.CPURead(n0.MemBase()+3*per+0x40, make([]byte, 64), func(d []byte, err error) {
 		if err != nil {
 			t.Errorf("far read: %v", err)
 			return

@@ -79,13 +79,14 @@ type Core struct {
 	wc       []wcBuf
 	wcSeq    uint64
 	prof     *prof.NodeProf
-	profD    sim.Time // counted-constant issue time (uncontended 64B store)
-	inflight int      // WC/UC posted writes awaiting downstream acceptance
-	stalled  []*stRec // stores waiting for a free WC buffer
-	stHead   int      // drained prefix of stalled (backing array reused)
-	ucFree   *ucRec   // free list of uncached-load records
-	stFree   *stRec   // free list of store-issue records
-	blkFree  *blkRec  // free list of block-store records
+	profD    sim.Time   // counted-constant issue time (uncontended 64B store)
+	inflight int        // WC/UC posted writes awaiting downstream acceptance
+	stalled  []*stRec   // stores waiting for a free WC buffer
+	stHead   int        // drained prefix of stalled (backing array reused)
+	ucFree   *ucRec     // free list of uncached-load records
+	strFree  *streamRec // free list of multi-line stream-load records
+	stFree   *stRec     // free list of store-issue records
+	blkFree  *blkRec    // free list of block-store records
 
 	cnt Counters
 }
@@ -167,13 +168,16 @@ func (c *Core) putBlk(rec *blkRec) {
 }
 
 // ucRec carries one in-flight uncached load: the caller's callback plus
-// the DRAM result parked while the UC read overhead elapses. Records
-// are pooled and the completion closure is built once per record (it
-// survives recycles), so a steady-state poll loop allocates nothing
-// here — the receive path is one of these per ring peek.
+// the DRAM result parked while the UC read overhead elapses. The read
+// lands in the record's inline line buffer, records are pooled, and the
+// completion closure is built once per record (it survives recycles),
+// so a steady-state poll loop allocates nothing here — the receive path
+// is one of these per ring peek. The record recycles only after the
+// caller's callback returns, which is how long the data stays valid.
 type ucRec struct {
 	next *ucRec
 	cb   func([]byte, error)
+	line [LineSize]byte
 	data []byte
 	err  error
 	done func([]byte, error)
@@ -202,9 +206,10 @@ func (c *Core) putUC(rec *ucRec) {
 
 // Event opcodes carried in sim.EventArg.I.
 const (
-	cpuOpUCLoad  int64 = iota // uncached-load overhead elapsed; arg.Ptr is *ucRec
-	cpuOpWCStore              // store issue reached the WC stage; arg.Ptr is *stRec
-	cpuOpUCStore              // store issue reached the UC emit stage; arg.Ptr is *stRec
+	cpuOpUCLoad     int64 = iota // uncached-load overhead elapsed; arg.Ptr is *ucRec
+	cpuOpWCStore                 // store issue reached the WC stage; arg.Ptr is *stRec
+	cpuOpUCStore                 // store issue reached the UC emit stage; arg.Ptr is *stRec
+	cpuOpStreamDone              // stream-load overhead elapsed; arg.Ptr is *streamRec
 )
 
 // OnEvent dispatches the core's typed events.
@@ -212,9 +217,12 @@ func (c *Core) OnEvent(_ *sim.Engine, arg sim.EventArg) {
 	switch arg.I {
 	case cpuOpUCLoad:
 		rec := arg.Ptr.(*ucRec)
-		cb, data, err := rec.cb, rec.data, rec.err
+		rec.cb(rec.data, rec.err)
 		c.putUC(rec)
-		cb(data, err)
+	case cpuOpStreamDone:
+		rec := arg.Ptr.(*streamRec)
+		rec.done(rec.buf, rec.failed)
+		c.putStream(rec)
 	case cpuOpWCStore:
 		c.wcMerge(arg.Ptr.(*stRec))
 	case cpuOpUCStore:
@@ -623,7 +631,9 @@ func (c *Core) Sfence(done func()) {
 
 // Load issues a read of n bytes at addr. Loads follow the MTRR type:
 // WB loads may hit (possibly stale) cache lines; UC loads always read
-// DRAM — the only correct way to poll a TCCluster receive buffer.
+// DRAM — the only correct way to poll a TCCluster receive buffer. The
+// data cb receives is borrowed: it is valid only until cb returns, and
+// a caller that keeps it must copy it.
 func (c *Core) Load(addr uint64, n int, cb func([]byte, error)) {
 	if err := checkAccess(addr, n); err != nil {
 		cb(nil, err)
@@ -660,13 +670,13 @@ func (c *Core) loadWB(addr uint64, n int, cb func([]byte, error)) {
 		cb(nil, fmt.Errorf("%w: WB load from non-coherent address %#x", ErrStranded, addr))
 		return
 	}
-	c.node.CPURead(line, LineSize, func(data []byte, err error) {
+	c.node.CPURead(line, make([]byte, LineSize), func(data []byte, err error) {
 		if err != nil {
 			cb(nil, err)
 			return
 		}
 		c.cache.Install(line, data)
-		cb(append([]byte(nil), data[off:off+n]...), nil)
+		cb(data[off:off+n], nil)
 	})
 }
 
@@ -678,7 +688,7 @@ func (c *Core) loadUC(addr uint64, n int, cb func([]byte, error)) {
 	}
 	rec := c.getUC()
 	rec.cb = cb
-	c.node.CPURead(addr, n, rec.done)
+	c.node.CPURead(addr, rec.line[:n], rec.done)
 }
 
 // StoreBlock stores an arbitrary dword-granular extent, splitting it
@@ -702,12 +712,76 @@ func (c *Core) StoreBlock(addr uint64, data []byte, done func(error)) {
 // uncached loads) may overlap their memory accesses.
 const StreamDepth = 4
 
+// streamRec carries one multi-line LoadStream. Every line-bounded chunk
+// reads straight into its own offset of the reusable assembly buffer,
+// so a chunk completion needs no per-chunk state: one continuation,
+// built once per record, retires whichever chunk finished and issues
+// the next. Records are pooled and the final overhead is a typed
+// event, so a steady-state stream load allocates nothing once the
+// buffer has grown to the extent size.
+type streamRec struct {
+	next      *streamRec
+	addr      uint64
+	buf       []byte // assembly buffer (capacity reused)
+	off       int    // offset of the next chunk to issue
+	pending   int    // chunk reads in flight
+	failed    error
+	done      func([]byte, error)
+	chunkDone func([]byte, error)
+}
+
+func (c *Core) getStream() *streamRec {
+	rec := c.strFree
+	if rec == nil {
+		rec = &streamRec{}
+		rec.chunkDone = func(_ []byte, err error) {
+			rec.pending--
+			if err != nil && rec.failed == nil {
+				rec.failed = err
+			}
+			if rec.pending == 0 && rec.off >= len(rec.buf) {
+				c.eng.ScheduleAfter(c.par.UCReadOverhead, c, sim.EventArg{Ptr: rec, I: cpuOpStreamDone})
+				return
+			}
+			c.streamPump(rec)
+		}
+		return rec
+	}
+	c.strFree = rec.next
+	rec.next = nil
+	return rec
+}
+
+func (c *Core) putStream(rec *streamRec) {
+	rec.done, rec.failed = nil, nil
+	rec.next = c.strFree
+	c.strFree = rec
+}
+
+// streamPump issues line-bounded chunk reads until StreamDepth are in
+// flight or the extent is exhausted.
+func (c *Core) streamPump(rec *streamRec) {
+	n := len(rec.buf)
+	for rec.pending < StreamDepth && rec.off < n {
+		off := rec.off
+		end := off + LineSize - int((rec.addr+uint64(off))%LineSize)
+		if end > n {
+			end = n
+		}
+		rec.off = end
+		rec.pending++
+		c.cnt.Loads++
+		c.node.CPURead(rec.addr+uint64(off), rec.buf[off:end], rec.chunkDone)
+	}
+}
+
 // LoadStream reads an extent with up to StreamDepth line reads in
 // flight — the streaming-load receive path. Ordinary UC loads serialize
 // one at a time (Load/LoadBlock); streaming loads quadruple copy-out
 // throughput, which is how real polling receivers drain their rings
 // without starving. Only valid on uncached/write-combining regions and
-// local (or coherently routed) memory.
+// local (or coherently routed) memory. As with Load, the data done
+// receives is borrowed: it is valid only until done returns.
 func (c *Core) LoadStream(addr uint64, n int, done func([]byte, error)) {
 	if n <= 0 || addr%4 != 0 || n%4 != 0 {
 		done(nil, fmt.Errorf("cpu: stream load at %#x/%d not dword-granular", addr, n))
@@ -729,60 +803,24 @@ func (c *Core) LoadStream(addr uint64, n int, done func([]byte, error)) {
 		c.cnt.Loads++
 		rec := c.getUC()
 		rec.cb = done
-		c.node.CPURead(addr, n, rec.done)
+		c.node.CPURead(addr, rec.line[:n], rec.done)
 		return
 	}
-	// Split into line-bounded chunks.
-	type chunk struct {
-		off, n int
+	rec := c.getStream()
+	if cap(rec.buf) < n {
+		rec.buf = make([]byte, n)
 	}
-	var chunks []chunk
-	for off := 0; off < n; {
-		end := off + LineSize - int((addr+uint64(off))%LineSize)
-		if end > n {
-			end = n
-		}
-		chunks = append(chunks, chunk{off: off, n: end - off})
-		off = end
-	}
-	out := make([]byte, n)
-	next := 0
-	pending := 0
-	var failed error
-	finished := 0
-	var pump func()
-	pump = func() {
-		for pending < StreamDepth && next < len(chunks) {
-			ck := chunks[next]
-			next++
-			pending++
-			c.cnt.Loads++
-			c.node.CPURead(addr+uint64(ck.off), ck.n, func(data []byte, err error) {
-				pending--
-				if err != nil && failed == nil {
-					failed = err
-				}
-				if err == nil {
-					copy(out[ck.off:], data)
-				}
-				finished++
-				if finished == len(chunks) {
-					c.eng.After(c.par.UCReadOverhead, func() { done(out, failed) })
-					return
-				}
-				pump()
-			})
-		}
-	}
-	pump()
+	rec.addr, rec.buf, rec.off, rec.done = addr, rec.buf[:n], 0, done
+	c.streamPump(rec)
 }
 
 // LoadBlock reads an arbitrary dword-granular extent line by line.
 func (c *Core) LoadBlock(addr uint64, n int, done func([]byte, error)) {
 	if n > 0 && int(addr%LineSize)+n <= LineSize {
-		// Single-line extent: one Load, no assembly buffer. Ring frames
-		// are line-aligned, so the receiver's poll peek always takes
-		// this path and stays allocation-free.
+		// Single-line extent: one Load, no assembly buffer, and the data
+		// is borrowed exactly as Load's is. Ring frames are line-aligned,
+		// so the receiver's poll peek always takes this path and stays
+		// allocation-free.
 		c.Load(addr, n, done)
 		return
 	}

@@ -190,7 +190,7 @@ func TestWBLocalStoreLoadRoundTrip(t *testing.T) {
 	r.a.Store(addr, data, func(err error) { mustNil(t, err) })
 	r.eng.Run()
 	var got []byte
-	r.a.Load(addr, 64, func(d []byte, err error) { mustNil(t, err); got = d })
+	r.a.Load(addr, 64, func(d []byte, err error) { mustNil(t, err); got = append([]byte(nil), d...) })
 	r.eng.Run()
 	if !bytes.Equal(got, data) {
 		t.Error("WB round trip mismatch")
@@ -206,7 +206,7 @@ func TestWBMappedReceiveBufferGoesStale(t *testing.T) {
 
 	// Node0 reads the (zero) flag: installs the line in its cache.
 	var first []byte
-	r.a.Load(flagAddr, 8, func(d []byte, err error) { mustNil(t, err); first = d })
+	r.a.Load(flagAddr, 8, func(d []byte, err error) { mustNil(t, err); first = append([]byte(nil), d...) })
 	r.eng.Run()
 	if first[0] != 0 {
 		t.Fatal("flag not initially zero")
@@ -228,7 +228,7 @@ func TestWBMappedReceiveBufferGoesStale(t *testing.T) {
 	}
 	// ...but the WB poll still sees the stale cached zero.
 	var stale []byte
-	r.a.Load(flagAddr, 8, func(d []byte, err error) { mustNil(t, err); stale = d })
+	r.a.Load(flagAddr, 8, func(d []byte, err error) { mustNil(t, err); stale = append([]byte(nil), d...) })
 	r.eng.Run()
 	if stale[0] != 0 {
 		t.Fatal("WB-mapped poll saw the remote store; it must read the stale cache line")
@@ -237,7 +237,7 @@ func TestWBMappedReceiveBufferGoesStale(t *testing.T) {
 	// A UC mapping (what the paper's driver configures) sees it.
 	mustNil(t, r.a.MTRR().SetRange(flagAddr&^0xFFF, (flagAddr&^0xFFF)+0xFFF, Uncacheable))
 	var fresh []byte
-	r.a.Load(flagAddr, 8, func(d []byte, err error) { mustNil(t, err); fresh = d })
+	r.a.Load(flagAddr, 8, func(d []byte, err error) { mustNil(t, err); fresh = append([]byte(nil), d...) })
 	r.eng.Run()
 	if fresh[0] != 0xFF {
 		t.Error("UC poll did not see the remote store")
@@ -440,7 +440,7 @@ func TestLoadStreamMatchesLoadBlock(t *testing.T) {
 	r.a.LoadBlock(addr, 1024, func(d []byte, err error) { mustNil(t, err); blockGot = d })
 	r.eng.Run()
 	start := r.eng.Now()
-	r.a.LoadStream(addr, 1024, func(d []byte, err error) { mustNil(t, err); streamGot = d })
+	r.a.LoadStream(addr, 1024, func(d []byte, err error) { mustNil(t, err); streamGot = append([]byte(nil), d...) })
 	r.eng.Run()
 	streamTime := r.eng.Now() - start
 

@@ -156,7 +156,10 @@ func (m *Machine) PhaseCARFetch(fetchBytes int) error {
 		return err
 	}
 	start := m.Eng.Now()
-	fetched := make([]byte, 0, fetchBytes)
+	// Each line read lands directly at its offset in fetched, which the
+	// loop keeps: the ROM image is the one read result retained.
+	fetched := make([]byte, fetchBytes)
+	got := 0
 	var ferr error
 	done := false
 	var fetch func(off int)
@@ -169,13 +172,13 @@ func (m *Machine) PhaseCARFetch(fetchBytes int) error {
 		if fetchBytes-off < n {
 			n = fetchBytes - off
 		}
-		bsp.CPURead(southbridge.ROMBase+uint64(off), n, func(data []byte, err error) {
+		bsp.CPURead(southbridge.ROMBase+uint64(off), fetched[off:off+n], func(_ []byte, err error) {
 			if err != nil {
 				ferr = err
 				done = true
 				return
 			}
-			fetched = append(fetched, data...)
+			got = off + n
 			fetch(off + n)
 		})
 	}
@@ -184,8 +187,8 @@ func (m *Machine) PhaseCARFetch(fetchBytes int) error {
 	if ferr != nil {
 		return fmt.Errorf("firmware(%s): CAR fetch: %w", m.Name, ferr)
 	}
-	if !done || len(fetched) != fetchBytes {
-		return fmt.Errorf("firmware(%s): CAR fetch stalled at %d of %d bytes", m.Name, len(fetched), fetchBytes)
+	if !done || got != fetchBytes {
+		return fmt.Errorf("firmware(%s): CAR fetch stalled at %d of %d bytes", m.Name, got, fetchBytes)
 	}
 	for i := range fetched {
 		if fetched[i] != m.flash.ROM()[i] {

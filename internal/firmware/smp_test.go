@@ -110,7 +110,7 @@ func TestSMPCrossSocketWriteBackTraffic(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cross-socket WB load: %v", err)
 		}
-		got = d
+		got = append([]byte(nil), d...)
 	})
 	eng.Run()
 	if !bytes.Equal(got, want) {
@@ -156,7 +156,7 @@ func TestSMPCrossSocketLoadCaches(t *testing.T) {
 		if err != nil {
 			t.Fatalf("first load: %v", err)
 		}
-		first = d
+		first = append([]byte(nil), d...)
 	})
 	eng.Run()
 	missTime := eng.Now() - start

@@ -149,7 +149,8 @@ func (w *Window) WatchWrites(off, size uint64, fn func()) (func(), error) {
 }
 
 // Read loads n bytes at window offset off. Remote windows refuse: reads
-// cannot cross a TCCluster link.
+// cannot cross a TCCluster link. The data cb receives is borrowed from
+// the load path and is valid only until cb returns; copy it to keep it.
 func (w *Window) Read(off uint64, n int, cb func([]byte, error)) {
 	if w.kind == RemoteWindow {
 		cb(nil, fmt.Errorf("kernel: %w", cpu.ErrStranded))
@@ -164,7 +165,8 @@ func (w *Window) Read(off uint64, n int, cb func([]byte, error)) {
 
 // ReadStream is Read with pipelined streaming loads (MOVNTDQA-class):
 // several line reads in flight, for draining bulk data out of the
-// uncachable receive region at useful bandwidth.
+// uncachable receive region at useful bandwidth. Its data is borrowed
+// exactly as Read's is.
 func (w *Window) ReadStream(off uint64, n int, cb func([]byte, error)) {
 	if w.kind == RemoteWindow {
 		cb(nil, fmt.Errorf("kernel: %w", cpu.ErrStranded))

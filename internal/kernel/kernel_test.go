@@ -139,7 +139,7 @@ func TestLocalWindowReadSeesRemoteStore(t *testing.T) {
 		if err != nil {
 			t.Errorf("read: %v", err)
 		}
-		got = d
+		got = append([]byte(nil), d...)
 	})
 	c.Run()
 	if len(got) != 8 || got[0] != 0xAB {

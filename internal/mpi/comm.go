@@ -144,7 +144,8 @@ func (c *Comm) dispatch(src int, env envelope, next func()) {
 			}
 			ack := encodeEnvelope(envelope{kind: kindRndvAck, tag: env.tag})
 			c.senders[src].Send(ack, func(error) {})
-			c.deliver(src, env.tag, data)
+			// ReadBulk lends its buffer only until this callback returns.
+			c.deliver(src, env.tag, append([]byte(nil), data...))
 			next()
 		})
 	case kindRndvAck:
@@ -156,20 +157,22 @@ func (c *Comm) dispatch(src int, env envelope, next func()) {
 	}
 }
 
-// deliver matches a payload against posted receives or parks it.
+// deliver matches a payload against posted receives or parks it. data
+// is owned: an eager payload is a subslice of the fresh buffer msg.Recv
+// handed out, and rendezvous data is copied out of the borrowed bulk
+// read by the caller, so neither path copies again here.
 func (c *Comm) deliver(src int, tag int32, data []byte) {
 	reqs := c.waiting[src]
 	for i, req := range reqs {
 		if req.tag == AnyTag || req.tag == tag {
 			c.waiting[src] = append(reqs[:i:i], reqs[i+1:]...)
 			c.stats.Recvs++
-			req.cb(append([]byte(nil), data...), nil)
+			req.cb(data, nil)
 			return
 		}
 	}
 	c.stats.Unexpected++
-	c.inbox[src] = append(c.inbox[src], envelope{kind: kindEager, tag: tag,
-		data: append([]byte(nil), data...)})
+	c.inbox[src] = append(c.inbox[src], envelope{kind: kindEager, tag: tag, data: data})
 }
 
 // Send transmits data to rank dst with the given tag. done fires when

@@ -693,7 +693,8 @@ type Receiver struct {
 	csOff     uint64
 	csFS      uint64
 	csLen     int
-	csPeek    []byte
+	csPeek    []byte   // long frame's first line, parked in csPeekBuf
+	csPeekBuf [64]byte // receiver-owned copy of the borrowed peek
 	csTail    func([]byte, error)
 	fhAcked   bool
 	fhDone    func(error)
@@ -725,7 +726,8 @@ func (r *Receiver) Stop() {
 }
 
 // ReadBulk reads n bytes from the rendezvous region at off, with
-// streaming loads (rendezvous payloads are bulk by definition).
+// streaming loads (rendezvous payloads are bulk by definition). The
+// data is borrowed from the load path and valid only until cb returns.
 func (r *Receiver) ReadBulk(off uint64, n int, cb func([]byte, error)) {
 	if r.bulk == nil {
 		cb(nil, fmt.Errorf("msg: channel opened without a bulk region"))
@@ -741,7 +743,10 @@ func (r *Receiver) ReadBulk(off uint64, n int, cb func([]byte, error)) {
 // lap and reads as empty, so only the 8-byte header needs overwriting —
 // scrubbing whole payloads with uncached stores would cost microseconds
 // per frame. The poll loop advances virtual time by one uncached DRAM
-// read per iteration, exactly like the real polling receive.
+// read per iteration, exactly like the real polling receive. Recv is
+// the read-buffer ownership boundary: the loads beneath it lend their
+// buffers, but the payload handed to cb is freshly allocated and
+// belongs to the caller.
 func (r *Receiver) Recv(cb func([]byte, error)) {
 	r.stopped = false
 	r.pollCB = cb
@@ -877,9 +882,10 @@ func (r *Receiver) consume(off uint64, length int, peek []byte, cb func([]byte, 
 	}
 	// Long frame: the tail is guaranteed visible (sender fenced payload
 	// before header), so drain it with pipelined streaming loads. peek
-	// is owned by this receiver (the load path hands its buffer over),
-	// so it parks on the receiver until the tail arrives.
-	r.csPeek = peek
+	// is borrowed from the load path and dies when this callback
+	// returns, so it parks in the receiver's own line buffer until the
+	// tail arrives.
+	r.csPeek = r.csPeekBuf[:copy(r.csPeekBuf[:], peek)]
 	if r.csTail == nil {
 		r.csTail = func(tail []byte, err error) {
 			peek, cb := r.csPeek, r.pollCB

@@ -317,7 +317,7 @@ func TestRendezvousPut(t *testing.T) {
 		if err != nil {
 			t.Errorf("read bulk: %v", err)
 		}
-		got = d
+		got = append([]byte(nil), d...)
 	})
 	c.Run()
 	if !bytes.Equal(got, data) {

@@ -125,7 +125,7 @@ type mcRec struct {
 	buf      []byte // staged write data (capacity reused)
 	accepted func()
 	visible  func(error)
-	rdN      int
+	rdDst    []byte // caller-owned read destination
 	rdCB     func([]byte, error)
 }
 
@@ -140,7 +140,7 @@ func (mc *MemoryController) getRec() *mcRec {
 }
 
 func (mc *MemoryController) putRec(rec *mcRec) {
-	rec.accepted, rec.visible, rec.rdCB = nil, nil, nil
+	rec.accepted, rec.visible, rec.rdDst, rec.rdCB = nil, nil, nil, nil
 	rec.next = mc.recFree
 	mc.recFree = rec
 }
@@ -160,12 +160,9 @@ func (mc *MemoryController) OnEvent(_ *sim.Engine, arg sim.EventArg) {
 		mc.putRec(rec)
 		visible(err)
 	case mcOpRead:
-		off, n, cb := rec.off, rec.rdN, rec.rdCB
+		off, dst, cb := rec.off, rec.rdDst, rec.rdCB
 		mc.putRec(rec)
-		// The result buffer is deliberately fresh: ownership passes to
-		// the callback, which may retain it (cache fills, user reads).
-		buf := make([]byte, n)
-		cb(buf, mc.mem.Read(off, buf))
+		cb(dst, mc.mem.Read(off, dst))
 	}
 }
 
@@ -238,15 +235,17 @@ func (mc *MemoryController) WriteAccepted(addr uint64, data []byte, accepted fun
 	mc.eng.Schedule(done+mc.par.AccessLatency, mc, sim.EventArg{Ptr: rec, I: mcOpVisible})
 }
 
-// Read performs a timed read of n bytes at the global address addr.
-func (mc *MemoryController) Read(addr uint64, n int, cb func([]byte, error)) {
+// Read performs a timed read of len(dst) bytes at the global address
+// addr into dst, which the caller owns: the controller allocates
+// nothing, and cb receives dst itself once the access latency elapses.
+func (mc *MemoryController) Read(addr uint64, dst []byte, cb func([]byte, error)) {
 	off := addr - mc.base
-	if err := mc.mem.check(off, n); err != nil {
+	if err := mc.mem.check(off, len(dst)); err != nil {
 		cb(nil, err)
 		return
 	}
 	now := mc.eng.Now()
-	_, done := mc.port.Schedule(now, mc.xferTime(n))
+	_, done := mc.port.Schedule(now, mc.xferTime(len(dst)))
 	mc.reads++
 	if np := mc.prof; np != nil {
 		if d := done - now + mc.par.AccessLatency; d == mc.profD {
@@ -256,6 +255,6 @@ func (mc *MemoryController) Read(addr uint64, n int, cb func([]byte, error)) {
 		}
 	}
 	rec := mc.getRec()
-	rec.off, rec.rdN, rec.rdCB = off, n, cb
+	rec.off, rec.rdDst, rec.rdCB = off, dst, cb
 	mc.eng.Schedule(done+mc.par.AccessLatency, mc, sim.EventArg{Ptr: rec, I: mcOpRead})
 }

@@ -199,6 +199,7 @@ type nbRec struct {
 	nBytes  int
 	tag     uint8
 	srcNode int
+	rdDst   []byte // CPU-local read destination (caller-owned)
 	rdCB    func([]byte, error)
 
 	wrVisible func(error)         // posted-write visibility in DRAM
@@ -221,7 +222,7 @@ func (n *Northbridge) getRec() *nbRec {
 }
 
 func (n *Northbridge) putRec(rec *nbRec) {
-	rec.pkt, rec.done, rec.rdCB = nil, nil, nil
+	rec.pkt, rec.done, rec.rdDst, rec.rdCB = nil, nil, nil, nil
 	rec.next = n.recFree
 	n.recFree = rec
 }
@@ -257,9 +258,9 @@ func (n *Northbridge) OnEvent(_ *sim.Engine, arg sim.EventArg) {
 	case nbOpDRAM:
 		n.dramAccess(rec)
 	case nbOpLocalRead:
-		addr, nBytes, cb := rec.addr, rec.nBytes, rec.rdCB
+		addr, dst, cb := rec.addr, rec.rdDst, rec.rdCB
 		n.putRec(rec)
-		n.mc.Read(addr, nBytes, cb)
+		n.mc.Read(addr, dst, cb)
 	}
 }
 
@@ -682,7 +683,8 @@ func (n *Northbridge) dramAccess(rec *nbRec) {
 		rec.addr = pkt.Addr
 		rec.nBytes = (int(pkt.Count) + 1) * ht.DwordBytes
 		rec.tag, rec.srcNode = pkt.SrcTag, pkt.SrcNode
-		n.mc.Read(pkt.Addr, rec.nBytes, rec.rdDone)
+		// Fresh buffer: the read response adopts it and carries it away.
+		n.mc.Read(pkt.Addr, make([]byte, rec.nBytes), rec.rdDone)
 		n.recycle(pkt)
 	case ht.CmdFlush, ht.CmdFence:
 		// Posted-channel ordering markers: the model's posted channel
@@ -742,9 +744,9 @@ func (n *Northbridge) npWriteVisible(rec *nbRec, err error) {
 }
 
 // dramReadDone completes a DRAM read: answer with a pooled read
-// response that adopts the controller's buffer — the payload escapes to
-// whatever callback the matching table holds, so recycling the packet
-// detaches it (ownership travels on with the data).
+// response that adopts the buffer dramAccess allocated — the payload
+// escapes to whatever callback the matching table holds, so recycling
+// the packet detaches it (ownership travels on with the data).
 func (n *Northbridge) dramReadDone(rec *nbRec, data []byte, err error) {
 	addr, done := rec.addr, rec.done
 	if err != nil {
@@ -920,11 +922,13 @@ func (n *Northbridge) CPUWrite(addr uint64, data []byte, posted bool, completion
 	n.InjectFromCPU(pkt, nil)
 }
 
-// CPURead issues a sized read from the local cores. For local DRAM the
-// memory controller answers; for anything remote, a tag is allocated and
-// the response must find its way home — which it cannot across a
-// TCCluster link, making the read hang until HangCheck notices.
-func (n *Northbridge) CPURead(addr uint64, nBytes int, cb func([]byte, error)) {
+// CPURead issues a sized read of len(dst) bytes from the local cores
+// into dst, which the caller owns; on success cb receives dst. For local
+// DRAM the memory controller reads straight into dst, allocating
+// nothing; for anything remote, a tag is allocated and the response —
+// copied into dst on arrival — must find its way home, which it cannot
+// across a TCCluster link, making the read hang until HangCheck notices.
+func (n *Northbridge) CPURead(addr uint64, dst []byte, cb func([]byte, error)) {
 	d := n.DecodeAddress(addr)
 	if d.Kind == DecideLocalDRAM {
 		now := n.eng.Now()
@@ -938,17 +942,20 @@ func (n *Northbridge) CPURead(addr uint64, nBytes int, cb func([]byte, error)) {
 			}
 		}
 		rec := n.getRec()
-		rec.addr, rec.nBytes, rec.rdCB = addr, nBytes, cb
+		rec.addr, rec.rdDst, rec.rdCB = addr, dst, cb
 		n.eng.Schedule(at+n.par.HopLatency, n, sim.EventArg{Ptr: rec, I: nbOpLocalRead})
 		return
 	}
-	tag, err := n.match.Alloc(func(resp *ht.Packet) { cb(resp.Data, nil) })
+	tag, err := n.match.Alloc(func(resp *ht.Packet) {
+		copy(dst, resp.Data) // the response is sized by the request
+		cb(dst, nil)
+	})
 	if err != nil {
 		n.cnt.tagExhausted.Add(1)
 		cb(nil, err)
 		return
 	}
-	pkt, err := n.pool.Read(addr, nBytes, tag)
+	pkt, err := n.pool.Read(addr, len(dst), tag)
 	if err != nil {
 		cb(nil, err)
 		return

@@ -172,7 +172,7 @@ func TestRemoteWriteOneWayLatency(t *testing.T) {
 func TestRemoteReadStrandsResponse(t *testing.T) {
 	p := newTCPair(t)
 	answered := false
-	p.a.CPURead(nodeMem+0x40, 64, func([]byte, error) { answered = true })
+	p.a.CPURead(nodeMem+0x40, make([]byte, 64), func([]byte, error) { answered = true })
 	p.eng.Run()
 	if answered {
 		t.Fatal("read across TCCluster link completed — it must not")
@@ -211,7 +211,7 @@ func TestLocalReadWriteRoundTrip(t *testing.T) {
 	var got []byte
 	p.a.CPUWrite(0x200, []byte{9, 9, 9, 9}, true, func(error) {})
 	p.eng.Run()
-	p.a.CPURead(0x200, 4, func(data []byte, err error) {
+	p.a.CPURead(0x200, make([]byte, 4), func(data []byte, err error) {
 		must(t, err)
 		got = data
 	})

@@ -249,7 +249,15 @@ func (s *Space) Get(from int, off uint64, n int, cb func([]byte, error)) {
 	nc.stats.GetBytes += uint64(n)
 	owner, local := s.Owner(off)
 	if owner == from {
-		nc.local.Read(local, n, cb)
+		// The load path lends its buffer only until the callback
+		// returns; a Get result belongs to the caller.
+		nc.local.Read(local, n, func(data []byte, err error) {
+			if err != nil {
+				cb(nil, err)
+				return
+			}
+			cb(append([]byte(nil), data...), nil)
+		})
 		return
 	}
 	if !s.nodes[owner].serving {

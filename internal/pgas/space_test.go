@@ -68,6 +68,35 @@ func TestLocalPutGet(t *testing.T) {
 	}
 }
 
+// A local Get reads through the core's pooled load buffers, which the
+// next load reuses; the result handed to the caller must be its own.
+func TestLocalGetSurvivesLaterReads(t *testing.T) {
+	c, s := space(t, 2)
+	first := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+	second := []byte{9, 9, 9, 9, 9, 9, 9, 9}
+	s.Put(0, 128, first, func(error) {})
+	s.Put(0, 256, second, func(error) {})
+	c.Run()
+	var got1, got2 []byte
+	s.Get(0, 128, 8, func(d []byte, err error) {
+		if err != nil {
+			t.Errorf("get: %v", err)
+		}
+		got1 = d
+	})
+	c.Run()
+	s.Get(0, 256, 8, func(d []byte, err error) {
+		if err != nil {
+			t.Errorf("get: %v", err)
+		}
+		got2 = d
+	})
+	c.Run()
+	if !bytes.Equal(got1, first) || !bytes.Equal(got2, second) {
+		t.Errorf("Get results aliased a reused load buffer: %v, %v", got1, got2)
+	}
+}
+
 func TestRemotePutLocalGet(t *testing.T) {
 	c, s := space(t, 2)
 	seg := uint64(64 << 10)

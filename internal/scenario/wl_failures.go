@@ -78,7 +78,7 @@ func tourWriteOnly(rc *runCtx) error {
 		fmt.Fprintf(out, "driver-level remote read: %v\n", err)
 	})
 	answered := false
-	c.Node(0).Machine().Procs[0].NB.CPURead(c.Node(1).MemBase()+0x40, 64,
+	c.Node(0).Machine().Procs[0].NB.CPURead(c.Node(1).MemBase()+0x40, make([]byte, 64),
 		func([]byte, error) { answered = true })
 	c.Run()
 	fmt.Fprintf(out, "hardware-level remote read: answered=%v, peer orphaned responses=%d\n",

@@ -24,6 +24,7 @@ package sim
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 	"time"
 )
 
@@ -174,11 +175,13 @@ type Parallel struct {
 	// truncates after draining, capacity retained.
 	readyBoxes [][]*Mailbox
 
-	// Persistent worker pool: spawned lazily on the first run and parked
-	// on their command channels between windows and between runs, so a
-	// run costs zero goroutine spawns.
-	cmds []chan Time
-	done chan int
+	// Worker pool: spawned lazily the first time a run dispatches more
+	// than one partition, parked on their command channels between
+	// windows, and stopped when the run returns — so an executor between
+	// runs holds no goroutines and a finished cluster can be collected.
+	cmds    []chan Time
+	done    chan int
+	workers sync.WaitGroup
 
 	stats *ParallelStats // nil = no runtime accounting (zero cost)
 }
@@ -468,17 +471,7 @@ func (p *Parallel) execWindow(idx int, w Time) {
 // matrix excludes — a chain leaving p and returning to it within the
 // same window.
 func (p *Parallel) run(deadline Time, bounded bool) {
-	n := len(p.engs)
-	if p.cmds == nil {
-		p.cmds = make([]chan Time, n)
-		p.done = make(chan int, n)
-		for i := 0; i < n; i++ {
-			p.cmds[i] = make(chan Time, 1)
-			go p.worker(i, p.cmds[i], p.done)
-		}
-	}
-	cmds, done := p.cmds, p.done
-
+	defer p.stopWorkers()
 	st := p.stats
 	for {
 		// Serial section: publish last window's mail, find the horizon.
@@ -636,13 +629,16 @@ func (p *Parallel) run(deadline Time, bounded bool) {
 		if dispatched == 1 {
 			p.execWindow(lone, p.bounds[lone])
 		} else {
+			if p.cmds == nil {
+				p.startWorkers()
+			}
 			for pi := range p.engs {
 				if p.active[pi] {
-					cmds[pi] <- p.bounds[pi]
+					p.cmds[pi] <- p.bounds[pi]
 				}
 			}
 			for i := 0; i < dispatched; i++ {
-				<-done
+				<-p.done
 			}
 		}
 		if st != nil {
@@ -684,11 +680,37 @@ func (p *Parallel) run(deadline Time, bounded bool) {
 	}
 }
 
-// worker executes window deadlines for one partition for the lifetime
-// of the executor. Draining the partition's queued mailboxes happens
-// here, inside the window, so the coordinator's flip and the drain
-// never overlap.
+// startWorkers spawns one worker goroutine per partition.
+func (p *Parallel) startWorkers() {
+	n := len(p.engs)
+	p.cmds = make([]chan Time, n)
+	p.done = make(chan int, n)
+	p.workers.Add(n)
+	for i := range p.cmds {
+		p.cmds[i] = make(chan Time, 1)
+		go p.worker(i, p.cmds[i], p.done)
+	}
+}
+
+// stopWorkers closes every command channel and waits for the workers to
+// exit; the next multi-partition window respawns them.
+func (p *Parallel) stopWorkers() {
+	if p.cmds == nil {
+		return
+	}
+	for _, c := range p.cmds {
+		close(c)
+	}
+	p.workers.Wait()
+	p.cmds, p.done = nil, nil
+}
+
+// worker executes window deadlines for one partition until its command
+// channel closes at the end of the run. Draining the partition's queued
+// mailboxes happens here, inside the window, so the coordinator's flip
+// and the drain never overlap.
 func (p *Parallel) worker(idx int, cmds chan Time, done chan int) {
+	defer p.workers.Done()
 	for w := range cmds {
 		p.execWindow(idx, w)
 		done <- idx

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 // relay bounces a token between two partitions through mailboxes,
@@ -85,6 +87,62 @@ func TestParallelMatchesSerialRelay(t *testing.T) {
 	}
 	if p.Fired() != se.Fired() {
 		t.Fatalf("fired diverged: parallel %d, serial %d", p.Fired(), se.Fired())
+	}
+}
+
+// peakRelay is a relay that also records the most goroutines alive
+// while it fired, proving the run dispatched windows to workers.
+type peakRelay struct {
+	relay
+	peak int
+}
+
+func (r *peakRelay) OnEvent(e *Engine, arg EventArg) {
+	if g := runtime.NumGoroutine(); g > r.peak {
+		r.peak = g
+	}
+	r.relay.OnEvent(e, arg)
+}
+
+// The worker goroutines live only while a run executes: once Run
+// returns none remain, so a finished executor (and the cluster behind
+// it) holds no goroutines and can be collected. The next run respawns
+// them lazily.
+func TestParallelWorkersStopAfterRun(t *testing.T) {
+	const (
+		look  = 10 * Nanosecond
+		delta = 13 * Nanosecond
+	)
+	base := runtime.NumGoroutine()
+	ea, eb := NewEngine(), NewEngine()
+	toA, toB := &Mailbox{}, &Mailbox{}
+	ra := &peakRelay{relay: relay{out: toB, delta: delta}}
+	rb := &peakRelay{relay: relay{out: toA, delta: delta}}
+	ra.peer, rb.peer = &rb.relay, &ra.relay
+	p, err := NewParallel([]*Engine{ea, eb}, [][]*Mailbox{{toA}, {toB}}, look)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 2; round++ {
+		// A token starts on each side, so both partitions hold work in
+		// the same window and the coordinator must dispatch to workers.
+		ra.peak, rb.peak = 0, 0
+		ea.Schedule(p.Now()+5*Nanosecond, ra, EventArg{I: 8})
+		eb.Schedule(p.Now()+5*Nanosecond, rb, EventArg{I: 8})
+		p.Run()
+		if ra.peak <= base && rb.peak <= base {
+			t.Fatalf("round %d: no worker goroutine ran (peak %d, baseline %d)", round, max(ra.peak, rb.peak), base)
+		}
+		// Run waits for every worker to finish, but an exiting goroutine
+		// still counts until the runtime reaps it: allow it a moment.
+		got := runtime.NumGoroutine()
+		for deadline := time.Now().Add(2 * time.Second); got != base && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+			got = runtime.NumGoroutine()
+		}
+		if got != base {
+			t.Fatalf("round %d: %d goroutines after Run, baseline %d", round, got, base)
+		}
 	}
 }
 

@@ -57,8 +57,9 @@ const (
 )
 
 // entry is one queued event's ordering key plus its arena ref. Entries
-// are what move through buckets and the far heap; the 24-byte struct is
-// self-contained so sorting and sifting never chase the arena.
+// are what move through buckets and the far heap; the struct
+// {at, sat, pri, seq, ref} is self-contained so sorting and sifting
+// never chase the arena.
 type entry struct {
 	at  Time
 	sat Time   // schedule stamp: virtual time of the Schedule call
