@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check fmt fmt-check vet build test race test-race bench bench-smoke bench-json bench-engine bench-engine-check bench-parallel bench-parallel-check bench-faults bench-prof bench-serve bench-serve-check bench-repo fuzz scenario-smoke
+.PHONY: all check fmt fmt-check vet build test race test-race bench bench-smoke bench-overhead bench-repo fuzz scenario-smoke
 
 all: check
 
@@ -34,72 +34,13 @@ race:
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
-# Regenerate the tracing + monitoring overhead numbers. The JSON records
-# the contract that leaving WithMonitor on costs only a few percent over
-# WithTracer alone.
-bench-json:
-	$(GO) run ./cmd/tccbench -bench monitor -out BENCH_monitor.json
-
-# Regenerate the event-core numbers: paired ladder-vs-heap runs over a
-# synthetic self-clocking workload plus Fig. 6/Fig. 7-shaped full-stack
-# workloads. Fails if the two queues diverge on event count or final
-# virtual time.
-bench-engine:
-	$(GO) run ./cmd/tccbench -bench engine -out BENCH_engine.json
-
-# CI regression gate: rerun the engine benchmark and fail when full-stack
-# ladder throughput (pingpong, posted-store) drops more than 15% below
-# the committed BENCH_engine.json. The baseline is read before the fresh
-# numbers overwrite the file, so the artifact CI uploads is current.
-# The threshold is deliberately loose — runner hardware differs from the
-# baseline machine — so the gate catches structural rot, not noise.
-bench-engine-check:
-	$(GO) run ./cmd/tccbench -bench engine -out BENCH_engine.json -baseline BENCH_engine.json
-
-# Regenerate the parallel-engine numbers: serial vs 1/2/4/8 workers on
-# Fig. 6/Fig. 7-shaped chain workloads plus 256-node 16x16-torus
-# pingpong-mesh and ring-allreduce. Fails if any worker count diverges
-# from the serial run's final virtual time or event count. Speedups are
-# only meaningful relative to the recorded GOMAXPROCS/NumCPU.
-bench-parallel:
-	$(GO) run ./cmd/tccbench -bench parallel -out BENCH_parallel.json
-
-# CI regression gate, mirror of bench-engine-check: rerun the parallel
-# benchmark (best of 5 per configuration) and fail when any workload's
-# speedup_vs_serial drops more than 15% below the committed
-# BENCH_parallel.json. The gate is skipped when the runner has fewer
-# CPUs than the baseline machine — a smaller runner cannot reproduce
-# multi-core speedups, so the comparison would measure the hardware.
-bench-parallel-check:
-	$(GO) run ./cmd/tccbench -bench parallel -out BENCH_parallel.json -baseline BENCH_parallel.json -repeat 5
-
-# Regenerate the fault-campaign numbers: reliable-channel goodput and
-# recovery latency vs swept cable-outage duration, plus raw-protocol
-# goodput vs injected CRC error rate.
-bench-faults:
-	$(GO) run ./cmd/tccbench -bench faults -out BENCH_faults.json
-
-# Regenerate the profiler numbers and enforce its cost contract:
-# profiled chain16 allreduce within 5% of the tracer-only baseline
-# (per-round CPU-time minima), zero allocations on the disabled link
-# send path. Exits nonzero when either gate fails.
-bench-prof:
-	$(GO) run ./cmd/tccbench -bench prof -out BENCH_prof.json
-
-# Regenerate the serving-stack numbers: a steady-state chain16 cell
-# pushing >=1M simulated requests through the replicated KV service,
-# plus a crash cell where a mid-run NodeCrash forces replica failover
-# and the windowed goodput records the SLO dip and recovery. Fails if
-# any parallel worker count diverges from the serial run.
-bench-serve:
-	$(GO) run ./cmd/tccbench -bench serve -out BENCH_serve.json
-
-# CI regression gate, mirror of bench-parallel-check: rerun the serve
-# benchmark (best of 5) and fail when steady-state goodput throughput
-# drops more than 15% below the committed BENCH_serve.json. Skipped on
-# runners with fewer CPUs than the baseline machine.
-bench-serve-check:
-	$(GO) run ./cmd/tccbench -bench serve -out BENCH_serve.json -baseline BENCH_serve.json -repeat 5
+# Regenerate the observability overhead numbers and enforce their cost
+# contract: on a chain16 allreduce, enabling the profiler and enabling
+# the live monitor each cost at most 5% CPU over a tracer-only run
+# (per-round CPU-time minima, configurations interleaved). Span
+# emission is recorded, not gated. Exits nonzero when either gate fails.
+bench-overhead:
+	$(GO) run ./cmd/tccbench -bench overhead -out BENCH_overhead.json
 
 # Repository benchmark (bench/, a nested module that the root
 # `go test ./...` never reaches): run its tests, plain and under -race at

@@ -2,7 +2,10 @@
 // TCCluster public API: point-to-point latency and bandwidth (uni- and
 // bidirectional) through the message library, plus MPI collective
 // timings — the tool a cluster operator would run first on a new
-// fabric.
+// fabric. The four sweeps report virtual time, so their tables are
+// deterministic. The overhead bench is the one host-time measurement:
+// it gates what the profiler and the live monitor cost on top of
+// tracing.
 //
 // Usage:
 //
@@ -10,12 +13,10 @@
 //	tccbench -bench bw       [-max 65536]
 //	tccbench -bench bibw
 //	tccbench -bench allreduce [-nodes 8]
-//	tccbench -bench monitor  [-out BENCH_monitor.json]
-//	tccbench -bench engine   [-out BENCH_engine.json] [-cpuprofile cpu.pprof] [-memprofile mem.pprof] [-baseline BENCH_engine.json]
-//	tccbench -bench parallel [-out BENCH_parallel.json] [-nodes 8] [-baseline BENCH_parallel.json] [-repeat 5]
-//	tccbench -bench faults   [-out BENCH_faults.json]
-//	tccbench -bench prof     [-out BENCH_prof.json]
-//	tccbench -bench serve    [-out BENCH_serve.json] [-baseline BENCH_serve.json] [-repeat 5]
+//	tccbench -bench overhead [-out BENCH_overhead.json]
+//
+// Simulator throughput is measured by the repository benchmark in
+// bench/, not here.
 package main
 
 import (
@@ -28,45 +29,30 @@ import (
 )
 
 func main() {
-	bench := flag.String("bench", "latency", "latency | bw | bibw | allreduce | monitor | engine | parallel | faults | prof | serve")
+	bench := flag.String("bench", "latency", "latency | bw | bibw | allreduce | overhead")
 	maxSize := flag.Int("max", 4096, "largest message size to sweep")
-	nodes := flag.Int("nodes", 4, "cluster size (allreduce; parallel defaults to 8)")
-	out := flag.String("out", "", "JSON output path (monitor and engine benchmarks)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file (engine benchmark)")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file (engine benchmark)")
-	baseline := flag.String("baseline", "", "committed benchmark JSON to gate against (engine and parallel benchmarks)")
-	repeat := flag.Int("repeat", 1, "attempts per configuration, best wall time kept (parallel benchmark)")
+	nodes := flag.Int("nodes", 4, "cluster size (allreduce)")
+	out := flag.String("out", "", "JSON output path (overhead benchmark)")
 	flag.Parse()
 
+	var t *stats.Table
 	switch *bench {
 	case "latency":
-		runLatency(*maxSize)
+		t = runLatency(*maxSize)
 	case "bw":
-		runBW(*maxSize, false)
+		t = runBW(*maxSize, false)
 	case "bibw":
-		runBW(*maxSize, true)
+		t = runBW(*maxSize, true)
 	case "allreduce":
-		runAllreduce(*nodes)
-	case "monitor":
-		runMonitorBench(*out)
-	case "engine":
-		runEngineBench(*out, *cpuprofile, *memprofile, *baseline)
-	case "parallel":
-		n := *nodes
-		if n == 4 {
-			n = 8 // the -nodes default targets allreduce; parallel wants 8
-		}
-		runParallelBench(*out, n, *baseline, *repeat)
-	case "faults":
-		runFaultsBench(*out)
-	case "prof":
-		runProfBench(*out)
-	case "serve":
-		runServeBench(*out, *baseline, *repeat)
+		t = runAllreduce(*nodes)
+	case "overhead":
+		runOverheadBench(*out)
+		return
 	default:
 		fmt.Fprintf(os.Stderr, "tccbench: unknown benchmark %q\n", *bench)
 		os.Exit(2)
 	}
+	t.Render(os.Stdout)
 }
 
 func pair() *tccluster.Cluster {
@@ -77,7 +63,7 @@ func pair() *tccluster.Cluster {
 	return c
 }
 
-func runLatency(maxSize int) {
+func runLatency(maxSize int) *stats.Table {
 	t := &stats.Table{
 		Title:   "tccbench latency (message-library ping-pong, virtual time)",
 		Columns: []string{"size", "half RTT ns"},
@@ -132,10 +118,10 @@ func runLatency(maxSize int) {
 		t.AddRow(stats.FormatSize(float64(size)),
 			fmt.Sprintf("%.0f", (total/tccluster.Time(2*iters)).Nanos()))
 	}
-	t.Render(os.Stdout)
+	return t
 }
 
-func runBW(maxSize int, bidir bool) {
+func runBW(maxSize int, bidir bool) *stats.Table {
 	name := "unidirectional"
 	if bidir {
 		name = "bidirectional"
@@ -185,10 +171,10 @@ func runBW(maxSize int, bidir bool) {
 		mbs := float64(bytes) / float64(finish-start) * 1e12 / 1e6
 		t.AddRow(stats.FormatSize(float64(size)), fmt.Sprintf("%.0f", mbs))
 	}
-	t.Render(os.Stdout)
+	return t
 }
 
-func runAllreduce(nodes int) {
+func runAllreduce(nodes int) *stats.Table {
 	topo, err := tccluster.Chain(nodes)
 	check(err)
 	c, err := tccluster.New(topo, tccluster.DefaultConfig())
@@ -219,7 +205,7 @@ func runAllreduce(nodes int) {
 		}
 		t.AddRow(fmt.Sprintf("%d", n), fmt.Sprintf("%.2f", (finish-start).Micros()))
 	}
-	t.Render(os.Stdout)
+	return t
 }
 
 func check(err error) {

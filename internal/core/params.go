@@ -84,8 +84,8 @@ type Config struct {
 	Tracer trace.Tracer
 	// LegacyEventQueue runs the simulator on the original container/heap
 	// event queue instead of the ladder queue. Both produce identical
-	// virtual-time results; this exists for paired benchmarking
-	// (tccbench -bench engine) and as a determinism cross-check.
+	// virtual-time results; this exists only as the determinism oracle
+	// (TestLadderMatchesLegacyOnAllExampleTopologies).
 	LegacyEventQueue bool
 	// Profiler, when non-nil, receives packet-lifecycle phase
 	// observations from every instrumented layer (link queue/retry/

@@ -135,13 +135,13 @@ func (r *FlightRecorder) Last() (Window, bool) {
 type Dump struct {
 	Reason   string       `json:"reason"`
 	WallTime time.Time    `json:"wall_time"`
-	Windows  []windowJSON `json:"windows"`
+	Windows  []WindowJSON `json:"windows"`
 }
 
 // WriteDump serializes the retained windows as indented JSON.
 func (r *FlightRecorder) WriteDump(w io.Writer, reason string) error {
 	wins := r.Windows()
-	d := Dump{Reason: reason, WallTime: time.Now(), Windows: make([]windowJSON, len(wins))}
+	d := Dump{Reason: reason, WallTime: time.Now(), Windows: make([]WindowJSON, len(wins))}
 	for i, win := range wins {
 		d.Windows[i] = windowToJSON(win)
 	}

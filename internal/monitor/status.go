@@ -53,8 +53,6 @@ type WindowJSON struct {
 	Links    []LinkStatus `json:"links,omitempty"`
 }
 
-type windowJSON = WindowJSON
-
 // Status is the full /metrics.json document.
 type Status struct {
 	Status      string       `json:"status"` // "ok" or "degraded"

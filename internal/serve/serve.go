@@ -20,8 +20,8 @@
 // one server it marks that server dead in its local view and routes the
 // shard's traffic to the surviving replicas. A NodeCrash therefore
 // shows up as a goodput dip exactly one detection window wide, then
-// recovery on the replicas — the SLO-impact experiment BENCH_serve.json
-// quantifies.
+// recovery on the replicas — the SLO-impact experiment that
+// scenarios/serve-chain16-crash.json runs under tccrun -check.
 //
 // Determinism: all mutable state is node-local and touched only by that
 // node's engine events (arrivals, timeouts and routing on the client's

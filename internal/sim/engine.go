@@ -150,8 +150,8 @@ func NewEngine() *Engine { return &Engine{} }
 
 // NewLegacyEngine returns an engine backed by the seed-era
 // container/heap event queue. Both queues implement the same strict
-// (time, seq) contract; the legacy queue survives as the baseline the
-// determinism suite and tccbench -bench engine compare against.
+// (time, seq) contract; the legacy queue survives as the oracle the
+// determinism suite compares the ladder queue against.
 func NewLegacyEngine() *Engine { return &Engine{legacy: &legacyQueue{}} }
 
 // Now returns the current virtual time.

@@ -8,8 +8,8 @@ import "container/heap"
 // an independent implementation of the (time, stamp, priority, seq)
 // ordering contract.
 // The determinism suite runs whole clusters on both queues and demands
-// identical results, and tccbench -bench engine uses it as the paired
-// baseline for speedup ratios.
+// identical results (TestLadderMatchesLegacyOnAllExampleTopologies,
+// plus the queue-level property tests in queue_test.go).
 
 type legacyEvent struct {
 	at  Time

@@ -7,8 +7,9 @@ import "sync/atomic"
 // gap between a partition finishing its window and the slowest
 // partition finishing), window occupancy, the coordinator's serial
 // sections, and the cross-partition mailbox traffic matrix. It answers
-// the question BENCH_parallel.json raises — why speedup ≤ 1.0 — by
-// separating load imbalance from barrier overhead from mailbox chatter.
+// the question the sim.pdes.* ledger in bench/ raises — why
+// sim.pdes.speedup_2w sits near 1.0 — by separating load imbalance
+// from barrier overhead from mailbox chatter.
 //
 // All cumulative fields are atomics so an HTTP scrape may read a
 // consistent-enough summary mid-run; the per-window scratch slices are

@@ -378,8 +378,8 @@ func WithSeed(seed uint64) Option {
 // WithLegacyEventQueue runs the simulation on the original
 // container/heap event queue instead of the allocation-free ladder
 // queue. Both queues order events identically — (time, seq) — so
-// results match to the picosecond; this option exists for paired
-// benchmarking (tccbench -bench engine) and determinism cross-checks.
+// results match to the picosecond; this option exists only as the
+// determinism oracle (TestLadderMatchesLegacyOnAllExampleTopologies).
 func WithLegacyEventQueue() Option {
 	return func(b *buildOptions) { b.cfg.LegacyEventQueue = true }
 }
