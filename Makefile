@@ -37,8 +37,9 @@ bench:
 # Regenerate the observability overhead numbers and enforce their cost
 # contract: on a chain16 allreduce, enabling the profiler and enabling
 # the live monitor each cost at most 5% CPU over a tracer-only run
-# (per-round CPU-time minima, configurations interleaved). Span
-# emission is recorded, not gated. Exits nonzero when either gate fails.
+# (5th percentile of per-round CPU time, configurations interleaved).
+# Span emission is recorded, not gated. Exits nonzero when either gate
+# fails.
 bench-overhead:
 	$(GO) run ./cmd/tccbench -bench overhead -out BENCH_overhead.json
 

@@ -3,10 +3,10 @@ package main
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 	"runtime"
 	"runtime/debug"
+	"sort"
 	"strings"
 	"syscall"
 	"unsafe"
@@ -22,19 +22,36 @@ import (
 // is a debugging mode that writes one trace record per packet phase.
 // BENCH_overhead.json records every configuration, and the benchmark
 // exits nonzero when the gate fails so CI can run it directly.
+//
+// Each configuration is summarized by a low quantile
+// (overheadQuantile) of all its timed rounds, pooled across trials, and
+// gated on the ratio of that quantile to tracer-only's. A low quantile
+// still filters out the rounds that neighbor interference inflated,
+// like a minimum would, but one unusually fast tracer round cannot set
+// the denominator for every configuration: it takes a twentieth of all
+// rounds to move it. In five runs on a 2-CPU host, a second tracer-only
+// configuration read -1.9% to +1.0% against the first by this
+// statistic, and -2.7% to +4.5% by the ratio of minima.
 
 // overheadGateMaxPct is the ceiling for each gated configuration,
 // measured against tracer-only.
 const overheadGateMaxPct = 5.0
 
+// overheadQuantile is the quantile of pooled round times each
+// configuration is judged by.
+const overheadQuantile = 0.05
+
 type overheadConfig struct {
-	Name          string  `json:"name"`
-	CPUNsPerRound float64 `json:"cpu_ns_per_round"`
+	Name string `json:"name"`
+	// CPUNsP05Round is the overheadQuantile of every timed round.
+	CPUNsP05Round float64 `json:"cpu_ns_p05_round"`
 	PctVsTracer   float64 `json:"overhead_pct_vs_tracer"`
 	Gated         bool    `json:"gated"`
 	// extra is added to a fresh tracer: each cluster gets its own
 	// Collector so no run inherits another's buffered records.
 	extra []tccluster.Option
+	// rounds pools the CPU ns of every timed round across trials.
+	rounds []float64
 }
 
 type overheadBench struct {
@@ -47,22 +64,28 @@ type overheadBench struct {
 	Configs    []overheadConfig `json:"configs"`
 }
 
-// overheadGate judges the profile and monitor configurations
-// independently against the ceiling; it returns nil when both pass and
-// otherwise names every configuration that failed.
-func overheadGate(profilePct, monitorPct float64) error {
+// overheadGate judges every configuration marked Gated independently
+// against the ceiling; it returns nil when all pass and otherwise names
+// every configuration that failed.
+func overheadGate(configs []overheadConfig) error {
 	var failed []string
-	if profilePct > overheadGateMaxPct {
-		failed = append(failed, fmt.Sprintf("profile %+.1f%%", profilePct))
-	}
-	if monitorPct > overheadGateMaxPct {
-		failed = append(failed, fmt.Sprintf("monitor %+.1f%%", monitorPct))
+	for _, c := range configs {
+		if c.Gated && c.PctVsTracer > overheadGateMaxPct {
+			failed = append(failed, fmt.Sprintf("%s %+.1f%%", c.Name, c.PctVsTracer))
+		}
 	}
 	if len(failed) == 0 {
 		return nil
 	}
 	return fmt.Errorf("overhead gate: %s over tracer-only exceeds the %.0f%% ceiling",
 		strings.Join(failed, ", "), overheadGateMaxPct)
+}
+
+// quantile returns the q-quantile of xs by the lower nearest rank.
+func quantile(xs []float64, q float64) float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	return s[int(q*float64(len(s)-1))]
 }
 
 // cpuClockID is CLOCK_PROCESS_CPUTIME_ID: per-process CPU time at
@@ -85,15 +108,15 @@ func cpuNS() float64 {
 }
 
 // allreduceRounds builds a fresh chain cluster with opts and drives
-// rounds of a 64-double allreduce across every rank, returning the
-// fastest single round in CPU ns (sim execution cost, not modeled
-// latency). Every round executes an identical, deterministic event
-// stream, so the per-round minimum is a clean estimator of the
-// interference-free floor — timing the whole batch instead yields one
-// sample that any neighbor-induced cache-thrash epoch inflates
-// wholesale. Boot and firmware training stay outside the timed region,
-// matching where the profiler and monitor attach.
-func allreduceRounds(nodes, rounds int, opts ...tccluster.Option) float64 {
+// rounds of a 64-double allreduce across every rank, appending each
+// round's CPU ns (sim execution cost, not modeled latency) to times.
+// Every round executes an identical, deterministic event stream, so
+// the fast rounds estimate the interference-free cost — timing the
+// whole batch instead yields one sample that any neighbor-induced
+// cache-thrash epoch inflates wholesale. Boot and firmware training
+// stay outside the timed region, matching where the profiler and
+// monitor attach.
+func allreduceRounds(times []float64, nodes, rounds int, opts ...tccluster.Option) []float64 {
 	topo, err := tccluster.Chain(nodes)
 	check(err)
 	c, err := tccluster.New(topo, tccluster.DefaultConfig(), opts...)
@@ -110,7 +133,6 @@ func allreduceRounds(nodes, rounds int, opts ...tccluster.Option) float64 {
 	// Two untimed rounds warm channel buffers, record pools and branch
 	// predictors so the timed rounds measure steady state for every
 	// configuration.
-	best := math.Inf(1)
 	for i := 0; i < 2+rounds; i++ {
 		t0 := cpuNS()
 		pending := nodes
@@ -124,11 +146,11 @@ func allreduceRounds(nodes, rounds int, opts ...tccluster.Option) float64 {
 		if pending != 0 {
 			check(fmt.Errorf("overhead bench: allreduce round %d incomplete", i))
 		}
-		if d := cpuNS() - t0; i >= 2 && d < best {
-			best = d
+		if d := cpuNS() - t0; i >= 2 {
+			times = append(times, d)
 		}
 	}
-	return best
+	return times
 }
 
 func runOverheadBench(out string) {
@@ -141,35 +163,30 @@ func runOverheadBench(out string) {
 		{Name: "monitor", Gated: true, extra: []tccluster.Option{tccluster.WithMonitor("127.0.0.1:0")}},
 		{Name: "spans", extra: []tccluster.Option{tccluster.WithProfile(tccluster.ProfileSpans())}},
 	}
-	for i := range configs {
-		configs[i].CPUNsPerRound = math.Inf(1)
-	}
 	// Interleave the configurations within each trial so machine-load
-	// drift lands on all of them alike, and keep each one's best round
-	// across every trial.
+	// drift lands on all of them alike.
 	sweep := func() error {
 		for t := 0; t < trials; t++ {
 			for i := range configs {
 				runtime.GC()
 				opts := append([]tccluster.Option{
 					tccluster.WithTracer(tccluster.NewCollector(1 << 14))}, configs[i].extra...)
-				configs[i].CPUNsPerRound = math.Min(configs[i].CPUNsPerRound,
-					allreduceRounds(nodes, rounds, opts...))
+				configs[i].rounds = allreduceRounds(configs[i].rounds, nodes, rounds, opts...)
 			}
 		}
 		for i := range configs {
-			configs[i].PctVsTracer = 100 * (configs[i].CPUNsPerRound/configs[0].CPUNsPerRound - 1)
+			configs[i].CPUNsP05Round = quantile(configs[i].rounds, overheadQuantile)
+			configs[i].PctVsTracer = 100 * (configs[i].CPUNsP05Round/configs[0].CPUNsP05Round - 1)
 		}
-		return overheadGate(configs[1].PctVsTracer, configs[2].PctVsTracer)
+		return overheadGate(configs)
 	}
 	sweeps := 1
 	gateErr := sweep()
 	if gateErr != nil {
-		// A neighbor-interference epoch can outlast a whole sweep and
-		// inflate even the per-round minima. Interference only adds
-		// time, so folding a second sweep into the same minima refines
-		// the floor estimate — it cannot manufacture a pass that the
-		// quiet-machine cost wouldn't earn.
+		// A neighbor-interference epoch can cover a good share of one
+		// configuration's rounds and move its quantile. A second sweep
+		// pools twice the rounds, so such an epoch weighs half as much;
+		// the ceiling stays where it is.
 		sweeps++
 		gateErr = sweep()
 	}
@@ -191,8 +208,15 @@ func runOverheadBench(out string) {
 	} else {
 		check(os.WriteFile(out, enc, 0o644))
 	}
-	fmt.Printf("overhead bench: tracer %.0f CPU ns/round; profile %+.1f%%, monitor %+.1f%%, spans %+.1f%% (ungated)\n",
-		configs[0].CPUNsPerRound, configs[1].PctVsTracer, configs[2].PctVsTracer, configs[3].PctVsTracer)
+	fmt.Printf("overhead bench: tracer p05 %.0f CPU ns/round; overhead:", configs[0].CPUNsP05Round)
+	for _, c := range configs[1:] {
+		gated := ""
+		if !c.Gated {
+			gated = " (ungated)"
+		}
+		fmt.Printf(" %s %+.1f%%%s", c.Name, c.PctVsTracer, gated)
+	}
+	fmt.Println()
 	check(gateErr)
-	fmt.Printf("overhead bench gate: profile and monitor <= %.0f%% over tracer-only\n", overheadGateMaxPct)
+	fmt.Printf("overhead bench gate: gated configurations <= %.0f%% over tracer-only\n", overheadGateMaxPct)
 }

@@ -72,6 +72,61 @@ func quickstartRun(t *testing.T, opts ...tccluster.Option) queueFingerprint {
 	return fingerprint(c)
 }
 
+// doorbellPingpongRun is a 64 B ping-pong between chain neighbours in
+// the opt-in doorbell receive mode (the one the serving stack uses):
+// receivers park instead of spin-polling, so wakeups arrive as doorbell
+// stores rather than poll hits — a different event schedule from the
+// spin-mode scenarios above.
+func doorbellPingpongRun(t *testing.T, opts ...tccluster.Option) queueFingerprint {
+	t.Helper()
+	const rounds = 50
+	topo, err := tccluster.Chain(2)
+	mustOK(t, err)
+	c, err := tccluster.New(topo, tccluster.DefaultConfig(), opts...)
+	mustOK(t, err)
+	par := tccluster.DefaultMsgParams()
+	par.Doorbell = true
+	sAB, rAB, err := c.OpenChannel(0, 1, par)
+	mustOK(t, err)
+	sBA, rBA, err := c.OpenChannel(1, 0, par)
+	mustOK(t, err)
+	var serve func()
+	serve = func() {
+		rAB.Recv(func(d []byte, err error) {
+			if err != nil {
+				return
+			}
+			sBA.Send(d, func(err error) { mustOK(t, err) })
+			serve()
+		})
+	}
+	serve()
+	var completed atomic.Int64
+	var round func(i int)
+	round = func(i int) {
+		if i >= rounds {
+			return
+		}
+		rBA.Recv(func(_ []byte, err error) {
+			if err != nil {
+				return
+			}
+			completed.Add(1)
+			round(i + 1)
+		})
+		sAB.Send(make([]byte, 64), func(err error) { mustOK(t, err) })
+	}
+	round(0)
+	c.RunFor(tccluster.Millisecond)
+	rAB.Stop()
+	rBA.Stop()
+	c.Run()
+	if completed.Load() != rounds {
+		t.Fatalf("doorbell ping-pong: %d of %d rounds", completed.Load(), rounds)
+	}
+	return fingerprint(c)
+}
+
 // allreduceRun mirrors examples/allreduce: an MPI world on a chain
 // reducing a vector from every rank.
 func allreduceRun(t *testing.T, opts ...tccluster.Option) queueFingerprint {
@@ -338,6 +393,7 @@ func TestLadderMatchesLegacyOnAllExampleTopologies(t *testing.T) {
 		run  func(*testing.T, ...tccluster.Option) queueFingerprint
 	}{
 		{"quickstart-chain2", quickstartRun},
+		{"doorbell-pingpong-chain2", doorbellPingpongRun},
 		{"allreduce-chain4", allreduceRun},
 		{"halo-chain3", haloRun},
 		{"pgas-chain4", pgasRun},
@@ -374,6 +430,7 @@ func TestParallelMatchesSerialOnAllExampleTopologies(t *testing.T) {
 		run  func(*testing.T, ...tccluster.Option) queueFingerprint
 	}{
 		{"quickstart-chain2", quickstartRun},
+		{"doorbell-pingpong-chain2", doorbellPingpongRun},
 		{"allreduce-chain4", allreduceRun},
 		{"halo-chain3", haloRun},
 		{"pgas-chain4", pgasRun},
