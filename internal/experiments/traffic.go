@@ -9,7 +9,7 @@ import (
 	"repro/internal/workload"
 )
 
-// MeshTraffic (E13, extension) runs the classic interconnect-evaluation
+// MeshTraffic (E19, extension) runs the classic interconnect-evaluation
 // patterns over a 4x4 TCCluster mesh of dual-socket supernodes and
 // reports delivered aggregate bandwidth. This is the network-level
 // evidence behind the paper's scaling claim: dimension-order interval
@@ -21,7 +21,7 @@ func MeshTraffic(flowBytes int) (*stats.Table, error) {
 	}
 	const w, h = 4, 4
 	t := &stats.Table{
-		Title:   fmt.Sprintf("E13 — traffic patterns on a %dx%d mesh (%dKB per flow)", w, h, flowBytes>>10),
+		Title:   fmt.Sprintf("E19 — traffic patterns on a %dx%d mesh (%dKB per flow)", w, h, flowBytes>>10),
 		Columns: []string{"pattern", "flows", "aggregate GB/s", "vs neighbor", "busiest link"},
 	}
 	patterns := []workload.Pattern{
