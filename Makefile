@@ -4,7 +4,7 @@ GO ?= go
 
 all: check
 
-check: fmt vet build race bench
+check: fmt vet build test race bench
 
 # CI-facing aliases: the workflow names its steps after what they verify.
 fmt-check: fmt
