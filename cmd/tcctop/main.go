@@ -104,16 +104,27 @@ func render(st *monitor.Status) string {
 
 // renderServe lays out the serving panel: live request totals, the SLO
 // goodput, tail quantiles and failure detection, straight off the
-// service's monitor snapshot. Absent when no service is deployed.
+// service's serve.* series. Absent when no service is deployed.
 func renderServe(b *strings.Builder, st *monitor.Status) {
-	s := st.Serve
-	if s == nil {
+	var lat *monitor.HistJSON
+	for i := range st.Histograms {
+		if st.Histograms[i].Name == "serve.latency_ps" {
+			lat = &st.Histograms[i]
+		}
+	}
+	if lat == nil {
 		return
 	}
+	ctr := func(name string) uint64 { return counterTotal(st.Counters, name, nil) }
+	requests := ctr("serve.requests")
+	goodput := 0.0
+	if requests > 0 {
+		goodput = 100 * float64(ctr("serve.in_slo")) / float64(requests)
+	}
 	fmt.Fprintf(b, "SERVE requests %-10d completed %-10d shed %-7d timeouts %-6d dead %d\n",
-		s.Requests, s.Completed, s.Shed, s.Timeouts, s.DeadMarks)
+		requests, ctr("serve.completed"), ctr("serve.shed"), ctr("serve.timeouts"), ctr("serve.dead_marks"))
 	fmt.Fprintf(b, "      goodput %s %5.1f%%   p50 %s   p99 %s   p999 %s\n\n",
-		bar(s.Goodput/100, 10), s.Goodput, fmtPS(s.P50PS), fmtPS(s.P99PS), fmtPS(s.P999PS))
+		bar(goodput/100, 10), goodput, fmtPS(lat.P50), fmtPS(lat.P99), fmtPS(lat.P999))
 }
 
 // counterTotal sums counters matching name; pick filters by dimension.

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/monitor"
 	"repro/internal/prof"
 	"repro/internal/sim"
@@ -24,9 +25,17 @@ func testStatus() *monitor.Status {
 			{Name: "events.barrier-enter", Value: 6},
 			{Name: "events.barrier-exit", Value: 4},
 			{Name: "events.rendezvous-start", Value: 3},
+			{Name: "serve.requests", Value: 24000},
+			{Name: "serve.completed", Value: 23940},
+			{Name: "serve.in_slo", Value: 23400},
+			{Name: "serve.timeouts", Value: 40},
+			{Name: "serve.shed", Value: 20},
+			{Name: "serve.dead_marks", Value: 3},
 		},
 		Histograms: []monitor.HistJSON{
 			{Name: "link.packet_latency_ps", Link: 0, Count: 100, P99: 250_000},
+			{Name: "serve.latency_ps", Count: 23940,
+				P50: 850_000, P99: 2_100_000, P999: 2_600_000},
 		},
 		Window: &monitor.WindowJSON{
 			Index:   19,
@@ -37,15 +46,10 @@ func testStatus() *monitor.Status {
 				{Name: "port.bytes_sent", Link: 0, Value: 32_000},
 				{Name: "port.credit_stalls", Link: 0, Value: 5},
 			},
-			Links: []monitor.LinkStatus{
+			Links: []core.LinkStatus{
 				{ID: 0, State: "active", Type: "ncHT", Width: 16, SpeedMHz: 800,
 					Bandwidth: 3.2e9},
 			},
-		},
-		Serve: &monitor.ServeStatus{
-			Requests: 24000, Completed: 23940, InSLO: 23400, Timeouts: 40,
-			Shed: 20, DeadMarks: 3,
-			P50PS: 850_000, P99PS: 2_100_000, P999PS: 2_600_000, Goodput: 97.5,
 		},
 		Alerts: []monitor.Alert{
 			{Rule: "dead-link", Message: "link 1: 12 send attempts, no deliveries",
@@ -73,6 +77,7 @@ func TestRenderFullFrame(t *testing.T) {
 		"timeouts 40",
 		"p50 850.0ns",
 		"p99 2.10us",
+		" 97.5%", // goodput: in_slo over requests
 		"ALERTS (1 active, 2 total)",
 		"dead-link",
 	} {

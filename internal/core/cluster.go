@@ -471,12 +471,12 @@ func (c *Cluster) SetSampleHook(every sim.Time, fn func(now sim.Time)) {
 // layer: training state and the bandwidth implied by the trained width
 // and clock.
 type LinkStatus struct {
-	ID        int
-	State     string
-	Type      string
-	Width     int
-	SpeedMHz  int
-	Bandwidth float64 // unidirectional bytes/s, 0 while down
+	ID        int     `json:"id"`
+	State     string  `json:"state"`
+	Type      string  `json:"type"`
+	Width     int     `json:"width"`
+	SpeedMHz  int     `json:"speed_mhz"`
+	Bandwidth float64 `json:"bandwidth_bytes_per_s"` // unidirectional, 0 while down
 }
 
 // LinkStatuses reports every external link's live status. It reads

@@ -24,6 +24,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/core"
 	"repro/internal/prof"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -34,18 +35,6 @@ import (
 // hardware counters are atomics and the collector registry is locked).
 type Source interface {
 	Metrics() trace.Snapshot
-}
-
-// LinkStatus mirrors core.LinkStatus without importing core: the root
-// package adapts between the two, keeping monitor reusable over any
-// Source.
-type LinkStatus struct {
-	ID        int     `json:"id"`
-	State     string  `json:"state"`
-	Type      string  `json:"type"`
-	Width     int     `json:"width"`
-	SpeedMHz  int     `json:"speed_mhz"`
-	Bandwidth float64 `json:"bandwidth_bytes_per_s"`
 }
 
 // DefaultSampleEvery is the default width of one sampling window in
@@ -59,10 +48,9 @@ const DefaultSampleEvery = 100 * sim.Microsecond
 type Monitor struct {
 	src      Source
 	interval sim.Time
-	linkFn   func() []LinkStatus
+	linkFn   func() []core.LinkStatus
 	autoDump string
 	profiler *prof.Profiler
-	serveFn  func() ServeStatus
 
 	recorder *FlightRecorder
 	watchdog *Watchdog
@@ -71,6 +59,7 @@ type Monitor struct {
 	lastSample sim.Time
 	dumpErr    string
 	samples    atomic.Uint64
+	scrapeSrcs []Source
 
 	srv *httpServer
 }
@@ -114,7 +103,7 @@ func WithAutoDump(path string) Option {
 
 // WithLinkStatus installs the per-window link status source, called on
 // the simulation goroutine.
-func WithLinkStatus(fn func() []LinkStatus) Option {
+func WithLinkStatus(fn func() []core.LinkStatus) Option {
 	return func(m *Monitor) { m.linkFn = fn }
 }
 
@@ -125,8 +114,9 @@ func WithTracer(t trace.Tracer) Option {
 }
 
 // WithProfiler exposes a packet-lifecycle profiler over the /profile
-// endpoint. The profiler's histograms are atomics, so scraping mid-run
-// is safe and never perturbs the simulation.
+// endpoint and adds its phase and PDES series to /metrics and
+// /metrics.json. The profiler's histograms are atomics, so scraping
+// mid-run is safe and never perturbs the simulation.
 func WithProfiler(p *prof.Profiler) Option {
 	return func(m *Monitor) { m.profiler = p }
 }
@@ -134,39 +124,80 @@ func WithProfiler(p *prof.Profiler) Option {
 // Profiler returns the attached profiler, nil when none was installed.
 func (m *Monitor) Profiler() *prof.Profiler { return m.profiler }
 
-// ServeStatus is the serving-service section of /metrics.json,
-// mirroring serve.Snapshot without importing serve (the root package
-// adapts between the two, like LinkStatus does for core).
-type ServeStatus struct {
-	Requests  uint64  `json:"requests"`
-	Completed uint64  `json:"completed"`
-	InSLO     uint64  `json:"in_slo"`
-	Timeouts  uint64  `json:"timeouts"`
-	Shed      uint64  `json:"shed"`
-	DeadMarks uint64  `json:"dead_marks"`
-	P50PS     float64 `json:"p50_ps"`
-	P99PS     float64 `json:"p99_ps"`
-	P999PS    float64 `json:"p999_ps"`
-	Goodput   float64 `json:"goodput_pct"`
-}
-
-// SetServeSource installs the serving-service snapshot source, called
-// from the HTTP goroutine on every Status assembly. fn must be safe to
-// call concurrently with the running simulation (serve's snapshots read
-// single-writer atomics only). A service is typically deployed after
-// the cluster — and thus the monitor — is built, so this is a setter
-// rather than an Option.
-func (m *Monitor) SetServeSource(fn func() ServeStatus) {
+// AddSource adds src's series to every /metrics and /metrics.json
+// snapshot; the sampled windows the watchdog and flight recorder see
+// stay the primary Source's alone. src.Metrics runs on HTTP goroutines
+// concurrently with the simulation, so it must read only atomics. A
+// serving service is deployed after the cluster (and so the monitor)
+// is built, which is why this is a method rather than an Option.
+func (m *Monitor) AddSource(src Source) {
 	m.mu.Lock()
-	m.serveFn = fn
+	m.scrapeSrcs = append(m.scrapeSrcs, src)
 	m.mu.Unlock()
 }
 
-// serveSource returns the installed serving snapshot source, if any.
-func (m *Monitor) serveSource() func() ServeStatus {
+// scrape assembles the snapshot /metrics and /metrics.json serve: the
+// primary Source, the profiler's series and every added Source.
+func (m *Monitor) scrape() trace.Snapshot {
+	s := m.src.Metrics()
+	addProfile(s, m.profiler)
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.serveFn
+	srcs := m.scrapeSrcs
+	m.mu.Unlock()
+	for _, src := range srcs {
+		s.Merge(src.Metrics())
+	}
+	return s
+}
+
+// addProfile adds a profiler's series to s: one histogram per phase
+// and link or node, named prof.<phase>_ps, and the PDES accounting,
+// with the partition in Key.Node and the destination partition in
+// Key.Chan.
+func addProfile(s trace.Snapshot, p *prof.Profiler) {
+	if p == nil {
+		return
+	}
+	for i := 0; p.Link(i) != nil; i++ {
+		for ph := prof.LinkPhase(0); ph < prof.NumLinkPhases; ph++ {
+			if h := p.Link(i).Phase(ph); h.Count > 0 {
+				s.Histograms[trace.Key{Name: "prof." + ph.String() + "_ps", Link: i}] = h
+			}
+		}
+	}
+	for i := 0; p.Node(i) != nil; i++ {
+		for ph := prof.NodePhase(0); ph < prof.NumNodePhases; ph++ {
+			if h := p.Node(i).Phase(ph); h.Count > 0 {
+				s.Histograms[trace.Key{Name: "prof." + ph.String() + "_ps", Node: i}] = h
+			}
+		}
+	}
+	st := p.ParallelStats()
+	if st == nil {
+		return
+	}
+	ps := st.Summary()
+	s.Counters[trace.Key{Name: "prof.pdes.windows"}] = ps.Windows
+	s.Counters[trace.Key{Name: "prof.pdes.dirty_flips"}] = ps.DirtyFlips
+	s.Counters[trace.Key{Name: "prof.pdes.wide_windows"}] = ps.WideWindows
+	s.Gauges[trace.Key{Name: "prof.pdes.occupancy"}] = ps.Occupancy
+	s.Gauges[trace.Key{Name: "prof.pdes.imbalance"}] = ps.Imbalance
+	s.Gauges[trace.Key{Name: "prof.pdes.mean_window_ns"}] = ps.MeanWindowNs
+	if ps.Partitioner != "" {
+		s.Gauges[trace.Key{Name: "prof.pdes.cut_links"}] = float64(ps.CutLinks)
+		s.Gauges[trace.Key{Name: "prof.pdes.cut_weight"}] = ps.CutWeight
+	}
+	for _, pt := range ps.Partitions {
+		s.Gauges[trace.Key{Name: "prof.pdes.partition_busy_ms", Node: pt.Partition}] = pt.BusyMS
+		s.Gauges[trace.Key{Name: "prof.pdes.partition_barrier_wait_ms", Node: pt.Partition}] = pt.BarrierWaitMS
+	}
+	for from, row := range ps.MailboxPosts {
+		for to, n := range row {
+			if n > 0 {
+				s.Counters[trace.Key{Name: "prof.pdes.mailbox_posts", Node: from, Chan: to}] = n
+			}
+		}
+	}
 }
 
 // New builds a Monitor over src. It does not listen anywhere until
@@ -200,7 +231,7 @@ func (m *Monitor) Watchdog() *Watchdog { return m.watchdog }
 // the source, closes a flight-recorder window, and runs the watchdog
 // over it.
 func (m *Monitor) OnSample(now sim.Time) {
-	var links []LinkStatus
+	var links []core.LinkStatus
 	if m.linkFn != nil {
 		links = m.linkFn()
 	}

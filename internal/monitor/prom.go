@@ -12,8 +12,10 @@ import (
 // Prometheus text-format rendering (version 0.0.4): every metric name
 // is prefixed tcc_ and mangled to the [a-zA-Z0-9_] alphabet, keys
 // render as node/link/chan labels, counters and gauges map directly,
-// and log2 histograms render as summaries with interpolated quantiles
-// (the exporter-side convention for pre-aggregated distributions).
+// and log2 histograms render as summaries with prof.HistSnapshot's
+// interpolated quantiles (the exporter-side convention for
+// pre-aggregated distributions). This is the only Prometheus writer:
+// profiler and serving series reach it through Monitor.scrape.
 
 var promQuantiles = []float64{0.5, 0.9, 0.99, 0.999}
 

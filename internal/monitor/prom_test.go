@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -21,7 +22,7 @@ func promTestSnapshot() trace.Snapshot {
 	m.Counter(trace.Key{Name: "nb.master_aborts", Node: 2}).Add(3)
 	m.Gauge(trace.Key{Name: "link.utilization", Link: 0}).Set(0.25)
 	h := m.Histogram(trace.Key{Name: "link.packet_latency_ps", Link: 0})
-	for v := uint64(1); v <= 100; v++ {
+	for v := sim.Time(1); v <= 100; v++ {
 		h.Observe(v * 1000)
 	}
 	return m.Snapshot()

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -16,18 +17,18 @@ import (
 const DefaultRecorderWindows = 64
 
 // Window is one closed sampling interval: the counter deltas accrued
-// over it plus the absolute snapshot at its end. Gauges and histograms
-// in Delta are the end-of-window absolutes (deltas of a distribution
-// are not meaningful bucket-wise), counters are true differences.
+// over it plus the absolute snapshot at its end.
 type Window struct {
 	Index int64    `json:"index"`
 	Start sim.Time `json:"start_ps"`
 	End   sim.Time `json:"end_ps"`
+	// Delta holds counters only: each counter's increase over the
+	// window. Gauges and histograms are read from Totals.
 	Delta trace.Snapshot
 	// Totals is the absolute snapshot at End; rules that need "has this
 	// link ever delivered" read it instead of re-summing deltas.
 	Totals trace.Snapshot
-	Links  []LinkStatus `json:"links"`
+	Links  []core.LinkStatus `json:"links"`
 }
 
 // Duration returns the window's width in virtual time.
@@ -64,13 +65,14 @@ func NewFlightRecorder(n int) *FlightRecorder {
 func (r *FlightRecorder) Capacity() int { return cap(r.ring) }
 
 // Record closes the window ending at now from the absolute snapshot
-// totals, storing counter deltas against the previous sample. The first
-// call establishes the baseline: deltas are measured from boot, with
-// Start left at the recorder's creation time of zero.
-func (r *FlightRecorder) Record(now sim.Time, totals trace.Snapshot, links []LinkStatus) Window {
+// totals, storing counter deltas against the previous sample; the
+// window's Delta carries no gauges or histograms. The first call
+// establishes the baseline: deltas are measured from boot, with Start
+// left at the recorder's creation time of zero.
+func (r *FlightRecorder) Record(now sim.Time, totals trace.Snapshot, links []core.LinkStatus) Window {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	delta := trace.NewSnapshot()
+	delta := trace.Snapshot{Counters: make(map[trace.Key]uint64, len(totals.Counters))}
 	for k, v := range totals.Counters {
 		prev := uint64(0)
 		if r.prevSet {
@@ -81,12 +83,6 @@ func (r *FlightRecorder) Record(now sim.Time, totals trace.Snapshot, links []Lin
 		} else {
 			delta.Counters[k] = v // counter reset; treat as fresh
 		}
-	}
-	for k, v := range totals.Gauges {
-		delta.Gauges[k] = v
-	}
-	for k, v := range totals.Histograms {
-		delta.Histograms[k] = v
 	}
 	w := Window{
 		Index:  r.index,

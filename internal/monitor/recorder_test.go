@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -84,7 +85,7 @@ func TestRecorderMinimumCapacity(t *testing.T) {
 
 func TestRecorderDumpJSON(t *testing.T) {
 	r := NewFlightRecorder(4)
-	r.Record(50*sim.Microsecond, snap(map[trace.Key]uint64{pktsKey: 9}), []LinkStatus{
+	r.Record(50*sim.Microsecond, snap(map[trace.Key]uint64{pktsKey: 9}), []core.LinkStatus{
 		{ID: 1, State: "active", Type: "ncHT", Width: 16, SpeedMHz: 800, Bandwidth: 3.2e9},
 	})
 	var buf bytes.Buffer
@@ -101,7 +102,7 @@ func TestRecorderDumpJSON(t *testing.T) {
 				Link  int    `json:"link"`
 				Value uint64 `json:"value"`
 			} `json:"counters"`
-			Links []LinkStatus `json:"links"`
+			Links []core.LinkStatus `json:"links"`
 		} `json:"windows"`
 	}
 	if err := json.Unmarshal(buf.Bytes(), &d); err != nil {

@@ -9,12 +9,13 @@ import (
 
 // httpServer exposes the monitor over HTTP:
 //
-//	/metrics       Prometheus text exposition of a live snapshot
+//	/metrics       Prometheus text exposition of a live snapshot:
+//	               cluster, profiler and serving series
 //	/metrics.json  full Status document (what cmd/tcctop polls)
 //	/health        terse liveness/degradation summary
 //	/alerts        active alerts plus resolved history
 //	/dump          flight-recorder dump of the retained windows
-//	/profile       profiler latency budget (JSON; ?format=prometheus)
+//	/profile       profiler latency budget (JSON)
 //
 // Handlers never touch the simulation engine; they read atomically
 // maintained counters and mutex-guarded copies, so a scrape cannot
@@ -28,7 +29,7 @@ func newHTTPServer(m *Monitor, addr string) (*httpServer, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = WritePrometheus(w, m.src.Metrics())
+		_ = WritePrometheus(w, m.scrape())
 	})
 	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, m.Status())
@@ -67,13 +68,7 @@ func newHTTPServer(m *Monitor, addr string) (*httpServer, error) {
 			http.Error(w, "profiling disabled (build the cluster with WithProfile)", http.StatusNotFound)
 			return
 		}
-		s := p.Summary()
-		if r.URL.Query().Get("format") == "prometheus" {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			_ = s.WritePrometheus(w)
-			return
-		}
-		writeJSON(w, s)
+		writeJSON(w, p.Summary())
 	})
 
 	ln, err := net.Listen("tcp", addr)

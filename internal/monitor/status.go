@@ -1,6 +1,8 @@
 package monitor
 
 import (
+	"repro/internal/core"
+	"repro/internal/prof"
 	"repro/internal/trace"
 )
 
@@ -35,8 +37,6 @@ type HistJSON struct {
 	Chan  int     `json:"chan"`
 	Count uint64  `json:"count"`
 	Sum   uint64  `json:"sum"`
-	Min   uint64  `json:"min"`
-	Max   uint64  `json:"max"`
 	Mean  float64 `json:"mean"`
 	P50   float64 `json:"p50"`
 	P90   float64 `json:"p90"`
@@ -46,11 +46,11 @@ type HistJSON struct {
 
 // WindowJSON is one flight-recorder window with counter deltas.
 type WindowJSON struct {
-	Index    int64        `json:"index"`
-	StartPS  int64        `json:"start_ps"`
-	EndPS    int64        `json:"end_ps"`
-	Counters []MetricJSON `json:"counters"`
-	Links    []LinkStatus `json:"links,omitempty"`
+	Index    int64             `json:"index"`
+	StartPS  int64             `json:"start_ps"`
+	EndPS    int64             `json:"end_ps"`
+	Counters []MetricJSON      `json:"counters"`
+	Links    []core.LinkStatus `json:"links,omitempty"`
 }
 
 // Status is the full /metrics.json document.
@@ -64,7 +64,6 @@ type Status struct {
 	Gauges      []GaugeJSON  `json:"gauges"`
 	Histograms  []HistJSON   `json:"histograms"`
 	Window      *WindowJSON  `json:"window,omitempty"` // latest closed window
-	Serve       *ServeStatus `json:"serve,omitempty"`  // serving service, when deployed
 	Alerts      []Alert      `json:"alerts"`
 	AlertsTotal uint64       `json:"alerts_total"`
 }
@@ -87,13 +86,13 @@ func gaugesToJSON(m map[trace.Key]float64) []GaugeJSON {
 	return out
 }
 
-func histsToJSON(m map[trace.Key]trace.HistogramSnapshot) []HistJSON {
+func histsToJSON(m map[trace.Key]prof.HistSnapshot) []HistJSON {
 	out := make([]HistJSON, 0, len(m))
 	for _, k := range sortedKeys(m) {
 		h := m[k]
 		out = append(out, HistJSON{Name: k.Name, Node: k.Node, Link: k.Link,
-			Chan: k.Chan, Count: h.Count, Sum: h.Sum, Min: h.Min, Max: h.Max,
-			Mean: h.Mean(), P50: h.Quantile(0.5), P90: h.Quantile(0.9),
+			Chan: k.Chan, Count: h.Count, Sum: h.Sum, Mean: h.Mean(),
+			P50: h.Quantile(0.5), P90: h.Quantile(0.9),
 			P99: h.Quantile(0.99), P999: h.Quantile(0.999)})
 	}
 	return out
@@ -109,10 +108,11 @@ func windowToJSON(w Window) WindowJSON {
 	}
 }
 
-// Status assembles the live status document: a fresh Source snapshot
-// plus the latest recorder window and active alerts.
+// Status assembles the live status document: a fresh snapshot of every
+// source (see AddSource) plus the latest recorder window and active
+// alerts.
 func (m *Monitor) Status() Status {
-	s := m.src.Metrics()
+	s := m.scrape()
 	last, samples := m.LastSample()
 	m.mu.Lock()
 	dumpErr := m.dumpErr
@@ -137,10 +137,6 @@ func (m *Monitor) Status() Status {
 	if w, ok := m.recorder.Last(); ok {
 		wj := windowToJSON(w)
 		st.Window = &wj
-	}
-	if fn := m.serveSource(); fn != nil {
-		ss := fn()
-		st.Serve = &ss
 	}
 	return st
 }

@@ -3,13 +3,14 @@ package monitor
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
 // mkWindow synthesizes one closed sampling window from counter deltas
 // and absolute totals, 100 us wide ending at end.
-func mkWindow(idx int64, end sim.Time, delta, totals map[trace.Key]uint64, links []LinkStatus) Window {
+func mkWindow(idx int64, end sim.Time, delta, totals map[trace.Key]uint64, links []core.LinkStatus) Window {
 	return Window{
 		Index:  idx,
 		Start:  end - 100*sim.Microsecond,
@@ -50,8 +51,8 @@ func TestDeadLinkRuleFiresOncePerIncident(t *testing.T) {
 	counts := newAlertCounter()
 	d.OnAlert(counts.observe)
 
-	up := []LinkStatus{{ID: 0, State: "active"}}
-	down := []LinkStatus{{ID: 0, State: "down"}}
+	up := []core.LinkStatus{{ID: 0, State: "active"}}
+	down := []core.LinkStatus{{ID: 0, State: "down"}}
 	healthy := func(idx int64, total uint64) Window {
 		return mkWindow(idx, sim.Time(idx+1)*100*sim.Microsecond,
 			map[trace.Key]uint64{
@@ -133,7 +134,7 @@ func TestDeadLinkRuleFiresOncePerIncident(t *testing.T) {
 // packet (cold, unused) must not alert just because nothing arrives.
 func TestDeadLinkRuleIgnoresVirginLinks(t *testing.T) {
 	d := NewWatchdog(DeadLinkRule(1))
-	down := []LinkStatus{{ID: 0, State: "down"}}
+	down := []core.LinkStatus{{ID: 0, State: "down"}}
 	for i := int64(0); i < 5; i++ {
 		w := mkWindow(i, sim.Time(i+1)*100*sim.Microsecond,
 			map[trace.Key]uint64{key("port.pkts_sent", 0): 4},

@@ -86,7 +86,7 @@ func (p *Profiler) Summary() Summary {
 	for ph := LinkPhase(0); ph < NumLinkPhases; ph++ {
 		var merged HistSnapshot
 		for i := range p.links {
-			mergeInto(&merged, p.links[i].Phase(ph))
+			merged.Merge(p.links[i].Phase(ph))
 		}
 		if merged.Count > 0 {
 			out.Budget = append(out.Budget, phaseStats(ph.String(), merged))
@@ -95,7 +95,7 @@ func (p *Profiler) Summary() Summary {
 	for ph := NodePhase(0); ph < NumNodePhases; ph++ {
 		var merged HistSnapshot
 		for i := range p.nodes {
-			mergeInto(&merged, p.nodes[i].Phase(ph))
+			merged.Merge(p.nodes[i].Phase(ph))
 		}
 		if merged.Count > 0 {
 			out.Budget = append(out.Budget, phaseStats(ph.String(), merged))
@@ -164,14 +164,6 @@ func (p *Profiler) Summary() Summary {
 		out.PDES = &s
 	}
 	return out
-}
-
-func mergeInto(dst *HistSnapshot, s HistSnapshot) {
-	dst.Count += s.Count
-	dst.Sum += s.Sum
-	for i := range s.Buckets {
-		dst.Buckets[i] += s.Buckets[i]
-	}
 }
 
 // fmtPS renders picoseconds with an adaptive unit.
@@ -243,92 +235,8 @@ func (s *Summary) WriteText(w io.Writer) error {
 	return ew.err
 }
 
-// WritePrometheus renders the summary in Prometheus text exposition
-// format: per-link and per-node phase summaries plus PDES gauges.
-func (s *Summary) WritePrometheus(w io.Writer) error {
-	ew := &errWriter{w: w}
-	ew.printf("# HELP tcc_prof_phase_ps phase latency attribution (picoseconds)\n")
-	ew.printf("# TYPE tcc_prof_phase_ps summary\n")
-	emit := func(scope string, id int, ph PhaseStats) {
-		labels := fmt.Sprintf(`%s="%d",phase=%q`, scope, id, ph.Phase)
-		ew.printf("tcc_prof_phase_ps{%s,quantile=\"0.5\"} %g\n", labels, ph.P50PS)
-		ew.printf("tcc_prof_phase_ps{%s,quantile=\"0.99\"} %g\n", labels, ph.P99PS)
-		ew.printf("tcc_prof_phase_ps_sum{%s} %d\n", labels, ph.TotalPS)
-		ew.printf("tcc_prof_phase_ps_count{%s} %d\n", labels, ph.Count)
-	}
-	for _, ls := range s.Links {
-		for _, ph := range ls.Phases {
-			emit("link", ls.Link, ph)
-		}
-	}
-	for _, ns := range s.Nodes {
-		for _, ph := range ns.Phases {
-			emit("node", ns.Node, ph)
-		}
-	}
-	if p := s.PDES; p != nil {
-		ew.printf("# HELP tcc_prof_pdes_windows windows executed\n")
-		ew.printf("# TYPE tcc_prof_pdes_windows counter\n")
-		ew.printf("tcc_prof_pdes_windows %d\n", p.Windows)
-		ew.printf("# HELP tcc_prof_pdes_occupancy busy time over span x partitions\n")
-		ew.printf("# TYPE tcc_prof_pdes_occupancy gauge\n")
-		ew.printf("tcc_prof_pdes_occupancy %g\n", p.Occupancy)
-		ew.printf("# HELP tcc_prof_pdes_imbalance max over mean partition busy time\n")
-		ew.printf("# TYPE tcc_prof_pdes_imbalance gauge\n")
-		ew.printf("tcc_prof_pdes_imbalance %g\n", p.Imbalance)
-		ew.printf("# HELP tcc_prof_pdes_partition_busy_ms cumulative busy wall time\n")
-		ew.printf("# TYPE tcc_prof_pdes_partition_busy_ms gauge\n")
-		for _, ps := range p.Partitions {
-			ew.printf("tcc_prof_pdes_partition_busy_ms{partition=\"%d\"} %g\n", ps.Partition, ps.BusyMS)
-		}
-		ew.printf("# HELP tcc_prof_pdes_partition_barrier_wait_ms cumulative barrier wait\n")
-		ew.printf("# TYPE tcc_prof_pdes_partition_barrier_wait_ms gauge\n")
-		for _, ps := range p.Partitions {
-			ew.printf("tcc_prof_pdes_partition_barrier_wait_ms{partition=\"%d\"} %g\n", ps.Partition, ps.BarrierWaitMS)
-		}
-		ew.printf("# HELP tcc_prof_pdes_dirty_flips mailbox flips performed (dirty set)\n")
-		ew.printf("# TYPE tcc_prof_pdes_dirty_flips counter\n")
-		ew.printf("tcc_prof_pdes_dirty_flips %d\n", p.DirtyFlips)
-		ew.printf("# HELP tcc_prof_pdes_wide_windows windows widened past 2x lookahead\n")
-		ew.printf("# TYPE tcc_prof_pdes_wide_windows counter\n")
-		ew.printf("tcc_prof_pdes_wide_windows %d\n", p.WideWindows)
-		ew.printf("# HELP tcc_prof_pdes_mean_window_ns mean bounded window width (virtual ns)\n")
-		ew.printf("# TYPE tcc_prof_pdes_mean_window_ns gauge\n")
-		ew.printf("tcc_prof_pdes_mean_window_ns %g\n", p.MeanWindowNs)
-		if len(p.WindowWidthHist) > 0 {
-			ew.printf("# HELP tcc_prof_pdes_window_width_ns window width histogram (virtual ns, log2 buckets)\n")
-			ew.printf("# TYPE tcc_prof_pdes_window_width_ns histogram\n")
-			cum := uint64(0)
-			for _, b := range p.WindowWidthHist {
-				cum += b.Count
-				ew.printf("tcc_prof_pdes_window_width_ns_bucket{le=\"%g\"} %d\n", b.UpToNs, cum)
-			}
-			ew.printf("tcc_prof_pdes_window_width_ns_bucket{le=\"+Inf\"} %d\n", cum)
-			ew.printf("tcc_prof_pdes_window_width_ns_count %d\n", cum)
-		}
-		if p.Partitioner != "" {
-			ew.printf("# HELP tcc_prof_pdes_cut_links external links crossing the partition cut\n")
-			ew.printf("# TYPE tcc_prof_pdes_cut_links gauge\n")
-			ew.printf("tcc_prof_pdes_cut_links{partitioner=%q} %d\n", p.Partitioner, p.CutLinks)
-			ew.printf("# HELP tcc_prof_pdes_cut_weight total affinity weight of cut links\n")
-			ew.printf("# TYPE tcc_prof_pdes_cut_weight gauge\n")
-			ew.printf("tcc_prof_pdes_cut_weight{partitioner=%q} %g\n", p.Partitioner, p.CutWeight)
-		}
-		ew.printf("# HELP tcc_prof_pdes_mailbox_posts cross-partition events published\n")
-		ew.printf("# TYPE tcc_prof_pdes_mailbox_posts counter\n")
-		for i, row := range p.MailboxPosts {
-			for j, n := range row {
-				if n > 0 {
-					ew.printf("tcc_prof_pdes_mailbox_posts{from=\"%d\",to=\"%d\"} %d\n", i, j, n)
-				}
-			}
-		}
-	}
-	return ew.err
-}
-
 // errWriter latches the first write error so rendering stays
-// branch-free (the monitor package uses the same shape).
+// branch-free.
 type errWriter struct {
 	w   io.Writer
 	err error

@@ -1,6 +1,9 @@
 package serve
 
-import "repro/internal/prof"
+import (
+	"repro/internal/prof"
+	"repro/internal/trace"
+)
 
 // Window is one goodput accounting window of the run, merged across all
 // client nodes. The fault campaigns read the crash story straight off
@@ -54,15 +57,6 @@ type Report struct {
 	Windows  []Window `json:"windows,omitempty"`
 }
 
-// mergeHist folds snapshot b into a.
-func mergeHist(a *prof.HistSnapshot, b prof.HistSnapshot) {
-	a.Count += b.Count
-	a.Sum += b.Sum
-	for i := range a.Buckets {
-		a.Buckets[i] += b.Buckets[i]
-	}
-}
-
 // sum totals one counter across all nodes.
 func (s *Service) sum(c int) uint64 {
 	var t uint64
@@ -70,6 +64,15 @@ func (s *Service) sum(c int) uint64 {
 		t += ns.ctr[c].Load()
 	}
 	return t
+}
+
+// latency merges every node's request-latency histogram.
+func (s *Service) latency() prof.HistSnapshot {
+	var lat prof.HistSnapshot
+	for _, ns := range s.nodes {
+		lat.Merge(ns.lat.Snapshot())
+	}
+	return lat
 }
 
 // Report merges every node's state into the run outcome. Call after the
@@ -100,10 +103,8 @@ func (s *Service) Report() Report {
 		Bad:        s.sum(cBad),
 	}
 
-	var lat prof.HistSnapshot
 	maxWin := 0
 	for _, ns := range s.nodes {
-		mergeHist(&lat, ns.lat.Snapshot())
 		if len(ns.windows) > maxWin {
 			maxWin = len(ns.windows)
 		}
@@ -112,6 +113,7 @@ func (s *Service) Report() Report {
 		// cancel out.
 		r.Checksum ^= mix64(ns.srvFold + mix64(uint64(ns.id)+ns.srvCount))
 	}
+	lat := s.latency()
 	r.P50PS = lat.Quantile(0.50)
 	r.P99PS = lat.Quantile(0.99)
 	r.P999PS = lat.Quantile(0.999)
@@ -133,41 +135,25 @@ func (s *Service) Report() Report {
 	return r
 }
 
-// Snapshot is a mid-run view of the service, cheap enough for the
-// monitor's scrape path: counter loads and histogram snapshots only
-// (all single-writer atomics), no window or fold state.
-type Snapshot struct {
-	Requests  uint64  `json:"requests"`
-	Completed uint64  `json:"completed"`
-	InSLO     uint64  `json:"in_slo"`
-	Timeouts  uint64  `json:"timeouts"`
-	Shed      uint64  `json:"shed"`
-	DeadMarks uint64  `json:"dead_marks"`
-	P50PS     float64 `json:"p50_ps"`
-	P99PS     float64 `json:"p99_ps"`
-	P999PS    float64 `json:"p999_ps"`
-	Goodput   float64 `json:"goodput_pct"`
-}
-
-// Snapshot assembles the mid-run view. Safe to call from the monitor's
-// HTTP goroutine while the simulation is running.
-func (s *Service) Snapshot() Snapshot {
-	var sn Snapshot
-	var lat prof.HistSnapshot
-	for _, ns := range s.nodes {
-		sn.Requests += ns.ctr[cArrivals].Load()
-		sn.Completed += ns.ctr[cCompleted].Load()
-		sn.InSLO += ns.ctr[cInSLO].Load()
-		sn.Timeouts += ns.ctr[cTimeouts].Load()
-		sn.Shed += ns.ctr[cShed].Load()
-		sn.DeadMarks += ns.ctr[cDeadMarks].Load()
-		mergeHist(&lat, ns.lat.Snapshot())
+// Metrics is the mid-run view the monitor merges into /metrics and
+// /metrics.json: cluster-wide request counters and the merged latency
+// histogram (serve.latency_ps). It loads single-writer atomics only, so
+// it is safe to call while the simulation runs.
+func (s *Service) Metrics() trace.Snapshot {
+	m := trace.NewSnapshot()
+	for _, c := range []struct {
+		name string
+		idx  int
+	}{
+		{"serve.requests", cArrivals},
+		{"serve.completed", cCompleted},
+		{"serve.in_slo", cInSLO},
+		{"serve.timeouts", cTimeouts},
+		{"serve.shed", cShed},
+		{"serve.dead_marks", cDeadMarks},
+	} {
+		m.Counters[trace.Key{Name: c.name}] = s.sum(c.idx)
 	}
-	sn.P50PS = lat.Quantile(0.50)
-	sn.P99PS = lat.Quantile(0.99)
-	sn.P999PS = lat.Quantile(0.999)
-	if sn.Requests > 0 {
-		sn.Goodput = 100 * float64(sn.InSLO) / float64(sn.Requests)
-	}
-	return sn
+	m.Histograms[trace.Key{Name: "serve.latency_ps"}] = s.latency()
+	return m
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/sim"
 	"repro/internal/topology"
+	"repro/internal/trace"
 )
 
 func rig(t *testing.T, nodes, workers int, actions ...fault.Action) (*core.Cluster, *kernel.OS) {
@@ -255,10 +256,14 @@ func TestServeSnapshot(t *testing.T) {
 	c.Run()
 	s.Stop()
 	c.Run()
-	sn := s.Snapshot()
+	m := s.Metrics()
 	r := s.Report()
-	if sn.Requests != r.Requests || sn.Completed != r.Completed ||
-		sn.P99PS != r.P99PS || sn.Goodput != r.GoodputPct {
-		t.Errorf("snapshot disagrees with report: %+v vs %+v", sn, r)
+	ctr := func(name string) uint64 { return m.Counters[trace.Key{Name: name}] }
+	lat := m.Histograms[trace.Key{Name: "serve.latency_ps"}]
+	if ctr("serve.requests") != r.Requests || ctr("serve.completed") != r.Completed ||
+		ctr("serve.in_slo") != r.InSLO || ctr("serve.timeouts") != r.Timeouts ||
+		ctr("serve.shed") != r.Shed || ctr("serve.dead_marks") != r.DeadMarks ||
+		lat.Quantile(0.99) != r.P99PS || lat.Count != r.Completed {
+		t.Errorf("metrics disagree with report: %+v vs %+v", m, r)
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/prof"
 )
 
 // Key identifies one metric instance: a name plus the node / link /
@@ -44,144 +46,15 @@ func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 // Value returns the stored value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// histBuckets is the fixed bucket count of a Histogram: bucket i counts
-// observations whose bit length is i, i.e. exponential buckets
-// [2^(i-1), 2^i). Picosecond latencies up to ~18 hours fit in 63 bits.
-const histBuckets = 64
-
-// Histogram is a log2-bucketed distribution (latencies in picoseconds,
-// sizes in bytes). Safe for concurrent use.
-type Histogram struct {
-	buckets [histBuckets]atomic.Uint64
-	count   atomic.Uint64
-	sum     atomic.Uint64
-	min     atomic.Uint64 // stored as value+1 so zero means "unset"
-	max     atomic.Uint64 // stored as value+1 so zero means "unset"
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(v uint64) {
-	h.buckets[bitLen(v)].Add(1)
-	h.count.Add(1)
-	h.sum.Add(v)
-	for {
-		cur := h.min.Load()
-		if cur != 0 && cur-1 <= v {
-			break
-		}
-		if h.min.CompareAndSwap(cur, v+1) {
-			break
-		}
-	}
-	for {
-		cur := h.max.Load()
-		if cur != 0 && cur-1 >= v {
-			break
-		}
-		if h.max.CompareAndSwap(cur, v+1) {
-			break
-		}
-	}
-}
-
-func bitLen(v uint64) int {
-	n := 0
-	for v != 0 {
-		v >>= 1
-		n++
-	}
-	return n
-}
-
-// HistogramSnapshot is a copied-out distribution.
-type HistogramSnapshot struct {
-	Count    uint64
-	Sum      uint64
-	Min, Max uint64
-	Buckets  map[int]uint64 // bit length -> count, zero buckets omitted
-}
-
-// Mean returns the average observed value (0 when empty).
-func (s HistogramSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
-}
-
-// Quantile estimates the p-quantile of the distribution (0 <= p <= 1).
-// Bucket i spans [2^(i-1), 2^i); the estimate interpolates linearly
-// inside the bucket holding the target rank and is clamped to the exact
-// observed [Min, Max], so single-valued and tight distributions come
-// back exact rather than smeared across a power-of-two bucket. Out of
-// range p is clamped; an empty histogram reports 0.
-func (s HistogramSnapshot) Quantile(p float64) float64 {
-	if s.Count == 0 || math.IsNaN(p) {
-		return 0
-	}
-	if p <= 0 {
-		return float64(s.Min)
-	}
-	if p >= 1 {
-		return float64(s.Max)
-	}
-	target := p * float64(s.Count)
-	cum := 0.0
-	for i := 0; i < histBuckets; i++ {
-		n := float64(s.Buckets[i])
-		if n == 0 {
-			continue
-		}
-		if cum+n < target {
-			cum += n
-			continue
-		}
-		if i == 0 { // bucket 0 holds only the value 0
-			return clampF(0, float64(s.Min), float64(s.Max))
-		}
-		lo := float64(uint64(1) << (i - 1))
-		hi := lo * 2
-		frac := (target - cum) / n
-		return clampF(lo+frac*(hi-lo), float64(s.Min), float64(s.Max))
-	}
-	return float64(s.Max)
-}
-
-func clampF(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
-func (h *Histogram) snapshot() HistogramSnapshot {
-	s := HistogramSnapshot{Count: h.count.Load(), Sum: h.sum.Load(),
-		Buckets: map[int]uint64{}}
-	if m := h.min.Load(); m != 0 {
-		s.Min = m - 1
-	}
-	if m := h.max.Load(); m != 0 {
-		s.Max = m - 1
-	}
-	for i := range h.buckets {
-		if n := h.buckets[i].Load(); n > 0 {
-			s.Buckets[i] = n
-		}
-	}
-	return s
-}
-
 // Metrics is a registry of counters, gauges and histograms. Lookups
 // take a mutex; the returned instruments update with atomics, so hold
-// on to them on hot paths.
+// on to them on hot paths. Histograms are prof.Hist, which allows one
+// writer at a time: a Collector observes only under its own lock.
 type Metrics struct {
 	mu         sync.Mutex
 	counters   map[Key]*Counter
 	gauges     map[Key]*Gauge
-	histograms map[Key]*Histogram
+	histograms map[Key]*prof.Hist
 }
 
 // NewMetrics returns an empty registry.
@@ -189,7 +62,7 @@ func NewMetrics() *Metrics {
 	return &Metrics{
 		counters:   make(map[Key]*Counter),
 		gauges:     make(map[Key]*Gauge),
-		histograms: make(map[Key]*Histogram),
+		histograms: make(map[Key]*prof.Hist),
 	}
 }
 
@@ -218,12 +91,12 @@ func (m *Metrics) Gauge(k Key) *Gauge {
 }
 
 // Histogram returns (creating if needed) the histogram for k.
-func (m *Metrics) Histogram(k Key) *Histogram {
+func (m *Metrics) Histogram(k Key) *prof.Hist {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	h := m.histograms[k]
 	if h == nil {
-		h = &Histogram{}
+		h = &prof.Hist{}
 		m.histograms[k] = h
 	}
 	return h
@@ -234,7 +107,7 @@ func (m *Metrics) Histogram(k Key) *Histogram {
 type Snapshot struct {
 	Counters   map[Key]uint64
 	Gauges     map[Key]float64
-	Histograms map[Key]HistogramSnapshot
+	Histograms map[Key]prof.HistSnapshot
 }
 
 // NewSnapshot returns an empty snapshot ready to be filled.
@@ -242,7 +115,7 @@ func NewSnapshot() Snapshot {
 	return Snapshot{
 		Counters:   make(map[Key]uint64),
 		Gauges:     make(map[Key]float64),
-		Histograms: make(map[Key]HistogramSnapshot),
+		Histograms: make(map[Key]prof.HistSnapshot),
 	}
 }
 
@@ -258,7 +131,7 @@ func (m *Metrics) Snapshot() Snapshot {
 		s.Gauges[k] = g.Value()
 	}
 	for k, h := range m.histograms {
-		s.Histograms[k] = h.snapshot()
+		s.Histograms[k] = h.Snapshot()
 	}
 	return s
 }

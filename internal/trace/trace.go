@@ -205,7 +205,7 @@ func (c *Collector) observe(ev Event) {
 		if t0, ok := c.inFlight[k]; ok {
 			delete(c.inFlight, k)
 			c.metrics.Histogram(Key{Name: "link.packet_latency_ps", Link: ev.Link}).
-				Observe(uint64(ev.At - t0))
+				Observe(ev.At - t0)
 		}
 	case KindCreditStall:
 		c.metrics.Counter(Key{Name: "link.credit_stalls", Link: ev.Link}).Add(1)
@@ -218,7 +218,7 @@ func (c *Collector) observe(ev Event) {
 		if t0, ok := c.inFlight[k]; ok {
 			delete(c.inFlight, k)
 			c.metrics.Histogram(Key{Name: "mpi.barrier_ps", Node: ev.Node}).
-				Observe(uint64(ev.At - t0))
+				Observe(ev.At - t0)
 		}
 	case KindRendezvousStart:
 		c.metrics.Counter(Key{Name: "mpi.rendezvous", Node: ev.Node}).Add(1)

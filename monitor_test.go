@@ -26,8 +26,10 @@ var promLine = regexp.MustCompile(
 	`^[a-zA-Z_:][a-zA-Z0-9_:]*\{[a-zA-Z_][a-zA-Z0-9_]*="[^"]*"(,[a-zA-Z_][a-zA-Z0-9_]*="[^"]*")*\} [-+0-9.eE]+$`)
 
 // scrapeMetrics fetches /metrics, validates every line against the
-// Prometheus 0.0.4 text format, and returns each counter series value.
-func scrapeMetrics(t *testing.T, addr string) map[string]float64 {
+// Prometheus 0.0.4 text format — each family has exactly one TYPE line,
+// ahead of its samples — and returns each counter series value and the
+// type of every family.
+func scrapeMetrics(t *testing.T, addr string) (counters map[string]float64, families map[string]string) {
 	t.Helper()
 	resp, err := http.Get("http://" + addr + "/metrics")
 	if err != nil {
@@ -44,12 +46,15 @@ func scrapeMetrics(t *testing.T, addr string) map[string]float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counters := map[string]float64{}
-	isCounter := map[string]bool{}
+	counters = map[string]float64{}
+	families = map[string]string{}
 	for _, line := range strings.Split(strings.TrimSuffix(string(body), "\n"), "\n") {
 		if strings.HasPrefix(line, "# TYPE ") {
 			f := strings.Fields(line)
-			isCounter[f[2]] = f[3] == "counter"
+			if _, dup := families[f[2]]; dup {
+				t.Fatalf("family %s has a second TYPE line", f[2])
+			}
+			families[f[2]] = f[3]
 			continue
 		}
 		if strings.HasPrefix(line, "#") {
@@ -59,14 +64,21 @@ func scrapeMetrics(t *testing.T, addr string) map[string]float64 {
 			t.Fatalf("malformed Prometheus line: %q", line)
 		}
 		name := line[:strings.IndexByte(line, '{')]
-		if isCounter[name] {
+		family := name
+		if _, ok := families[family]; !ok {
+			family = strings.TrimSuffix(strings.TrimSuffix(name, "_sum"), "_count")
+		}
+		if _, ok := families[family]; !ok {
+			t.Fatalf("sample %q precedes its family's TYPE line", line)
+		}
+		if families[name] == "counter" {
 			var v float64
 			series := line[:strings.LastIndexByte(line, ' ')]
 			fmt.Sscanf(line[strings.LastIndexByte(line, ' ')+1:], "%g", &v)
 			counters[series] = v
 		}
 	}
-	return counters
+	return counters, families
 }
 
 func TestMonitorEndToEnd(t *testing.T) {
@@ -171,7 +183,7 @@ func TestMonitorEndToEnd(t *testing.T) {
 	default:
 	}
 
-	first := scrapeMetrics(t, addr)
+	first, _ := scrapeMetrics(t, addr)
 	if len(first) == 0 {
 		t.Fatal("no counter series scraped")
 	}
@@ -188,7 +200,7 @@ func TestMonitorEndToEnd(t *testing.T) {
 		}
 	}
 	runRounds(100)
-	second := scrapeMetrics(t, addr)
+	second, _ := scrapeMetrics(t, addr)
 	for series, v1 := range first {
 		v2, ok := second[series]
 		if !ok {
@@ -396,12 +408,12 @@ func TestMonitorEndToEndParallel(t *testing.T) {
 	default:
 	}
 
-	first := scrapeMetrics(t, addr)
+	first, _ := scrapeMetrics(t, addr)
 	if len(first) == 0 {
 		t.Fatal("no counter series scraped")
 	}
 	runRounds(100)
-	second := scrapeMetrics(t, addr)
+	second, _ := scrapeMetrics(t, addr)
 	for series, v1 := range first {
 		v2, ok := second[series]
 		if !ok {
@@ -455,4 +467,64 @@ drain:
 	r03.Stop()
 	r30.Stop()
 	c.Run()
+}
+
+// TestMetricsCarriesServeProfileAndPDES: one /metrics scrape of a
+// monitored, profiled, 2-worker cluster running a serving service
+// carries all three kinds of series — serve, profiler phases and PDES
+// accounting — through the one Prometheus writer, and the serve
+// counters it reports agree with the service's own report.
+func TestMetricsCarriesServeProfileAndPDES(t *testing.T) {
+	topo, err := tccluster.Chain(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := tccluster.New(topo, tccluster.DefaultConfig(),
+		tccluster.WithParallel(2),
+		tccluster.WithProfile(),
+		tccluster.WithMonitor("127.0.0.1:0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	addr := c.Monitor().Addr()
+	cfg := tccluster.DefaultServeConfig()
+	cfg.RequestsPerNode = 200
+	svc, err := c.NewService(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.Start()
+	// 200 arrivals 2 us apart take ~400 us per node: at 150 us the
+	// service is mid-run.
+	c.RunFor(150 * tccluster.Microsecond)
+	counters, families := scrapeMetrics(t, addr)
+	for name, typ := range map[string]string{
+		"tcc_serve_requests":          "counter",
+		"tcc_serve_latency_ps":        "summary",
+		"tcc_prof_link_ser_ps":        "summary",
+		"tcc_prof_nb_hop_ps":          "summary",
+		"tcc_prof_pdes_windows":       "counter",
+		"tcc_prof_pdes_mailbox_posts": "counter",
+	} {
+		if families[name] != typ {
+			t.Errorf("mid-run /metrics: family %s has type %q, want %q", name, families[name], typ)
+		}
+	}
+	const requests = `tcc_serve_requests{node="0",link="0",chan="0"}`
+	mid := counters[requests]
+
+	svc.Stop()
+	c.Run()
+	r := svc.Report()
+	if mid == 0 || mid >= float64(r.Requests) {
+		t.Errorf("mid-run scrape saw %g of %d requests, want some but not all", mid, r.Requests)
+	}
+	counters, _ = scrapeMetrics(t, addr)
+	if got := counters[requests]; got != float64(r.Requests) {
+		t.Errorf("/metrics serve requests = %g, report says %d", got, r.Requests)
+	}
+	if got := counters[`tcc_serve_completed{node="0",link="0",chan="0"}`]; got != float64(r.Completed) {
+		t.Errorf("/metrics serve completions = %g, report says %d", got, r.Completed)
+	}
 }

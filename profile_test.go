@@ -190,8 +190,8 @@ func TestProfiledAllreduceChain16EmitsBudget(t *testing.T) {
 	}
 }
 
-// TestProfileEndpointScrapeMidRun scrapes /profile (JSON and
-// Prometheus) while the simulation is executing on another goroutine:
+// TestProfileEndpointScrapeMidRun scrapes /profile (JSON) and /metrics
+// (Prometheus) while the simulation is executing on another goroutine:
 // the snapshot path must be race-free (this test runs under -race in
 // CI) and must not perturb the run.
 func TestProfileEndpointScrapeMidRun(t *testing.T) {
@@ -217,8 +217,8 @@ func TestProfileEndpointScrapeMidRun(t *testing.T) {
 				return
 			default:
 			}
-			for _, q := range []string{"", "?format=prometheus"} {
-				resp, err := client.Get("http://" + addr + "/profile" + q)
+			for _, path := range []string{"/profile", "/metrics"} {
+				resp, err := client.Get("http://" + addr + path)
 				if err != nil {
 					select {
 					case scrapeErrs <- err:
@@ -231,7 +231,7 @@ func TestProfileEndpointScrapeMidRun(t *testing.T) {
 				if err != nil || resp.StatusCode != http.StatusOK {
 					continue
 				}
-				if q == "" {
+				if path == "/profile" {
 					var s tccluster.ProfileSummary
 					if err := json.Unmarshal(body, &s); err != nil {
 						select {

@@ -111,8 +111,6 @@ type (
 	ServeReport = serve.Report
 	// ServeWindow is one goodput accounting window of a ServeReport.
 	ServeWindow = serve.Window
-	// ServeSnapshot is the cheap mid-run view the monitor scrapes.
-	ServeSnapshot = serve.Snapshot
 
 	// LiveParams configure a live (goroutine) channel.
 	LiveParams = shm.Params
@@ -148,7 +146,8 @@ type (
 	// ProfileSummary is the renderable latency budget a profiled run
 	// produces: per-phase histograms, per-link/per-node breakdowns, the
 	// critical-path ranking and (parallel runs) PDES accounting. It
-	// marshals to JSON and renders with WriteText/WritePrometheus.
+	// marshals to JSON and renders with WriteText; with WithMonitor its
+	// series are also on /metrics.
 	ProfileSummary = prof.Summary
 	// ProfilePhaseStats is one phase's aggregate inside a
 	// ProfileSummary.
@@ -456,7 +455,8 @@ func WithMonitor(addr string, opts ...MonitorOption) Option {
 // budget covers workload traffic.
 //
 // Read results with Cluster.Profile; combined with WithMonitor the
-// summary is also served at /profile (JSON, ?format=prometheus).
+// summary is also served as JSON at /profile, and every phase
+// histogram and PDES series joins /metrics and /metrics.json.
 // ProfileSpans() additionally emits per-packet phase spans into the
 // tracer for Chrome-trace rendering (requires WithTracer):
 //
@@ -559,9 +559,7 @@ func New(topo *Topology, cfg Config, opts ...Option) (*Cluster, error) {
 	}
 	if b.monitorOn {
 		mopts := append([]MonitorOption{
-			monitor.WithLinkStatus(func() []monitor.LinkStatus {
-				return monitorLinkStatuses(c)
-			}),
+			monitor.WithLinkStatus(c.LinkStatuses),
 			monitor.WithTracer(b.cfg.Tracer),
 			monitor.WithProfiler(b.cfg.Profiler),
 		}, b.monitorOpts...)
@@ -574,18 +572,6 @@ func New(topo *Topology, cfg Config, opts ...Option) (*Cluster, error) {
 		}
 	}
 	return cl, nil
-}
-
-// monitorLinkStatuses adapts core's link reporting to the monitor's
-// core-agnostic type.
-func monitorLinkStatuses(c *core.Cluster) []monitor.LinkStatus {
-	ls := c.LinkStatuses()
-	out := make([]monitor.LinkStatus, len(ls))
-	for i, l := range ls {
-		out[i] = monitor.LinkStatus{ID: l.ID, State: l.State, Type: l.Type,
-			Width: l.Width, SpeedMHz: l.SpeedMHz, Bandwidth: l.Bandwidth}
-	}
-	return out
 }
 
 // Monitor returns the live-monitoring subsystem, nil unless the cluster
@@ -646,23 +632,16 @@ func (c *Cluster) NewSpace(cfg PGASConfig) (*Space, error) {
 // node: consistent-hash placement, a full channel mesh, per-node
 // open-loop clients with token-bucket admission. Call Service.Start,
 // drive the cluster, then read Service.Report. On a cluster built
-// WithMonitor the service's live snapshot appears in /metrics.json
-// (and the tcctop SERVE panel) automatically.
+// WithMonitor the service's serve.* counters and serve.latency_ps
+// histogram join /metrics and /metrics.json (and so the tcctop SERVE
+// panel) automatically.
 func (c *Cluster) NewService(cfg ServeConfig) (*Service, error) {
 	s, err := serve.New(c.os, cfg)
 	if err != nil {
 		return nil, err
 	}
 	if c.mon != nil {
-		c.mon.SetServeSource(func() monitor.ServeStatus {
-			sn := s.Snapshot()
-			return monitor.ServeStatus{
-				Requests: sn.Requests, Completed: sn.Completed,
-				InSLO: sn.InSLO, Timeouts: sn.Timeouts, Shed: sn.Shed,
-				DeadMarks: sn.DeadMarks, P50PS: sn.P50PS, P99PS: sn.P99PS,
-				P999PS: sn.P999PS, Goodput: sn.Goodput,
-			}
-		})
+		c.mon.AddSource(s)
 	}
 	return s, nil
 }
