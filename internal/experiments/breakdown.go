@@ -4,10 +4,10 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/ht"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/topology"
+	"repro/internal/trace"
 )
 
 // LatencyBreakdown (E17, extension) decomposes the 64-byte one-way
@@ -27,16 +27,10 @@ func LatencyBreakdown() (*stats.Table, error) {
 	// Stage hooks fire on the partition that executes each stage: tx and
 	// issue on the sender's, rx and landing on the receiver's. Each hook
 	// writes its own variable, read only after the run drains.
-	var issued, txStart, rxAt, landed sim.Time
+	var issued, landed sim.Time
+	var wire linkStages
 	link := c.ExternalLinks()[0]
-	link.SetTrace(func(ev, side string, pkt *ht.Packet) {
-		switch {
-		case ev == "tx" && txStart == 0:
-			txStart = srcNode.Now()
-		case ev == "rx" && rxAt == 0:
-			rxAt = dst.Now()
-		}
-	})
+	link.SetTracer(&wire, 0)
 	dst.Machine().Procs[0].NB.SetWriteHook(func(uint64, int) { landed = dst.Now() })
 
 	start := c.Now()
@@ -46,8 +40,9 @@ func LatencyBreakdown() (*stats.Table, error) {
 		}
 	})
 	c.Run()
-	link.SetTrace(nil)
+	link.SetTracer(nil, 0)
 	dst.Machine().Procs[0].NB.SetWriteHook(nil)
+	txStart, rxAt := wire.tx, wire.rx
 	if issued == 0 || txStart == 0 || rxAt == 0 || landed == 0 {
 		return nil, fmt.Errorf("breakdown: missing stage timestamps")
 	}
@@ -87,6 +82,20 @@ func LatencyBreakdown() (*stats.Table, error) {
 	row("poll detect (min)", pollCost, "one uncached DRAM read + pipeline")
 	row("TOTAL (min)", landed-start+pollCost, "matches Fig.7's floor; +0..97ns poll phase")
 	return t, nil
+}
+
+// linkStages is a link tracer keeping the first serialization start
+// (KindPacketSent, on the sender's partition) and the first delivery
+// (KindPacketDelivered, on the receiver's) of the traced link.
+type linkStages struct{ tx, rx sim.Time }
+
+func (s *linkStages) Emit(ev trace.Event) {
+	switch {
+	case ev.Kind == trace.KindPacketSent && s.tx == 0:
+		s.tx = ev.At
+	case ev.Kind == trace.KindPacketDelivered && s.rx == 0:
+		s.rx = ev.At
+	}
 }
 
 // SupernodeTransit (E18, extension) measures remote-store latency and

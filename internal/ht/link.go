@@ -301,7 +301,6 @@ type Link struct {
 
 	trainings int
 	log       func(string)
-	trace     func(event, side string, pkt *Packet)
 	tracer    trace.Tracer
 	trc       [2]trace.Tracer // tracer per side; both equal unless Split
 	traceID   int
@@ -408,11 +407,6 @@ func NewLink(eng *sim.Engine, cfg LinkConfig) *Link {
 // and tests).
 func (l *Link) SetLog(fn func(string)) { l.log = fn }
 
-// SetTrace installs a packet tracer, invoked at serialization start
-// ("tx", transmitting side) and delivery ("rx", receiving side). The
-// cmd/tcctrace tool uses it to render fabric activity chronologically.
-func (l *Link) SetTrace(fn func(event, side string, pkt *Packet)) { l.trace = fn }
-
 // SetTracer installs the cluster-wide observability tracer for this
 // link, identified as Link=id in emitted events. A nil tracer (the
 // default) makes every emission site a single nil-check no-op.
@@ -489,12 +483,6 @@ func (l *Link) sched(side int, at sim.Time, arg sim.EventArg) {
 		return
 	}
 	l.engs[side].Schedule(at, l, arg)
-}
-
-func (l *Link) emitTrace(event, side string, pkt *Packet) {
-	if l.trace != nil {
-		l.trace(event, side, pkt)
-	}
 }
 
 func (l *Link) logf(format string, args ...interface{}) {
@@ -743,7 +731,6 @@ func (p *Port) transmit(pkt *Packet) {
 	}
 	p.stats.bytesSent.Add(uint64(wire))
 	p.stats.perVCSent[pkt.Cmd.VC()].Add(1)
-	l.emitTrace("tx", p.name, pkt)
 	if tr := l.trc[p.side]; tr != nil {
 		tr.Emit(trace.Event{
 			At: eng.Now(), Kind: trace.KindPacketSent, Node: -1,
@@ -780,7 +767,6 @@ func faultU01(seed, side, seq, attempt uint64) float64 {
 func (l *Link) deliver(rec *txRec) {
 	p, pkt := rec.p, rec.pkt
 	peer := p.Peer()
-	l.emitTrace("rx", peer.name, pkt)
 	if tr := l.trc[peer.side]; tr != nil {
 		tr.Emit(trace.Event{
 			At: l.engs[peer.side].Now(), Kind: trace.KindPacketDelivered, Node: -1,

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 func trainedLink(t *testing.T, eng *sim.Engine, cfg LinkConfig) *Link {
@@ -294,14 +295,23 @@ func TestForceDownLosesPathUntilReset(t *testing.T) {
 	}
 }
 
+// packetEvents is a tracer counting packet sent and delivered events.
+type packetEvents int
+
+func (n *packetEvents) Emit(ev trace.Event) {
+	if ev.Kind == trace.KindPacketSent || ev.Kind == trace.KindPacketDelivered {
+		*n++
+	}
+}
+
 func TestPortAccessorsAndLogs(t *testing.T) {
 	eng := sim.NewEngine()
 	cfg := DefaultLinkConfig(ClassProcessor, ClassIODevice)
 	l := NewLink(eng, cfg)
 	var logs []string
 	l.SetLog(func(s string) { logs = append(logs, s) })
-	traced := 0
-	l.SetTrace(func(ev, side string, p *Packet) { traced++ })
+	var traced packetEvents
+	l.SetTracer(&traced, 0)
 	l.ColdReset()
 	eng.Run()
 	if len(logs) == 0 {
@@ -332,7 +342,7 @@ func TestPortAccessorsAndLogs(t *testing.T) {
 	_ = a.Send(p)
 	eng.Run()
 	if traced != 2 {
-		t.Errorf("trace events = %d, want tx+rx", traced)
+		t.Errorf("packet trace events = %d, want sent+delivered", traced)
 	}
 	if err := a.CheckIdle(); err != nil {
 		t.Errorf("post-traffic idle check: %v", err)
