@@ -26,8 +26,11 @@ build:
 test:
 	$(GO) test ./...
 
+# GOMAXPROCS=2 keeps two partitions of every parallel test running
+# concurrently even on a 1-CPU runner, so the race detector sees the
+# executor's cross-goroutine handoffs.
 race:
-	$(GO) test -race ./...
+	GOMAXPROCS=2 $(GO) test -race ./...
 
 # Smoke-run every benchmark once: catches bit-rot in the harness without
 # waiting for statistically meaningful timings.

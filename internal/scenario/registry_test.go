@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -40,6 +41,52 @@ func TestWorkloadRegistryRoundTrip(t *testing.T) {
 			}
 			if back.Workloads[0].Kind != kind {
 				t.Fatalf("kind lost in round trip: %+v", back.Workloads)
+			}
+		})
+	}
+}
+
+// TestWorkloadRegistrySerialMatchesParallel is the executor's
+// determinism contract per workload kind: a minimal spec for every
+// registered kind that runs on the shared cluster must produce an equal
+// fingerprint and byte-identical output serially and on two
+// partitions. Like the round trip above, the table is the registry, so
+// a new workload is gated the moment it is registered. Standalone
+// kinds build their own clusters scene by scene and are not driven
+// through the shared cluster's parallel knob.
+func TestWorkloadRegistrySerialMatchesParallel(t *testing.T) {
+	for kind, def := range workloads {
+		if def.standalone {
+			continue
+		}
+		t.Run(kind, func(t *testing.T) {
+			spec := fmt.Sprintf(`{
+				"version": 1,
+				"name": "serial-parallel-%s",
+				"topology": {"kind": "chain", "nodes": 4},
+				"workloads": [{"kind": "%s"}]
+			}`, kind, kind)
+			base, err := Parse([]byte(spec))
+			if err != nil {
+				t.Fatalf("parse: %v", err)
+			}
+			var refOut bytes.Buffer
+			refRes, err := base.Run(&refOut)
+			if err != nil {
+				t.Fatalf("serial run: %v", err)
+			}
+			s := base.Clone()
+			s.Parallel = 2
+			var out bytes.Buffer
+			res, err := s.Run(&out)
+			if err != nil {
+				t.Fatalf("parallel run: %v", err)
+			}
+			if *res != *refRes {
+				t.Errorf("fingerprint diverged: serial %+v, parallel %+v", refRes, res)
+			}
+			if !bytes.Equal(refOut.Bytes(), out.Bytes()) {
+				t.Errorf("output diverged:\nserial:\n%s\nparallel:\n%s", refOut.Bytes(), out.Bytes())
 			}
 		})
 	}
