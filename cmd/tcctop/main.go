@@ -269,10 +269,7 @@ func renderProfile(s *prof.Summary) string {
 	if p := s.PDES; p != nil && len(p.Partitions) > 0 {
 		fmt.Fprintf(&b, "PDES     windows %d   occupancy %.2f   imbalance %.2f\n",
 			p.Windows, p.Occupancy, p.Imbalance)
-		if p.Partitioner != "" {
-			fmt.Fprintf(&b, "         cut %s: %d links, weight %.3f\n",
-				p.Partitioner, p.CutLinks, p.CutWeight)
-		}
+		fmt.Fprintf(&b, "         cut %d links, weight %.3f\n", p.CutLinks, p.CutWeight)
 		fmt.Fprintf(&b, "         flips %-8d wide %-8d mean width %s\n",
 			p.DirtyFlips, p.WideWindows, fmtPS(p.MeanWindowNs*1e3))
 		for _, pt := range p.Partitions {

@@ -525,32 +525,23 @@ func torusRun(t *testing.T, opts ...tccluster.Option) queueFingerprint {
 }
 
 // TestParallelMatchesSerialTorus16x16 is the 256-node determinism gate
-// for the adaptive executor: the torus workload partitioned at 2, 4 and
-// 8 workers — under both partitioners — must reproduce the serial event
-// count, final virtual time, and per-link counters exactly.
+// for the windowed executor: the torus workload partitioned at 2, 4 and
+// 8 workers must reproduce the serial event count, final virtual time,
+// and per-link counters exactly.
 func TestParallelMatchesSerialTorus16x16(t *testing.T) {
 	serial := torusRun(t)
 	for _, workers := range []int{2, 4, 8} {
-		for _, part := range []struct {
-			name string
-			opts []tccluster.Option
-		}{
-			{"graph-cut", nil},
-			{"supernode", []tccluster.Option{tccluster.WithPartitioner(tccluster.PartitionBySupernode())}},
-		} {
-			opts := append([]tccluster.Option{tccluster.WithParallel(workers)}, part.opts...)
-			par := torusRun(t, opts...)
-			if par.fired != serial.fired {
-				t.Errorf("%d workers (%s): event count diverged: serial %d, parallel %d",
-					workers, part.name, serial.fired, par.fired)
-			}
-			if par.now != serial.now {
-				t.Errorf("%d workers (%s): final virtual time diverged: serial %v, parallel %v",
-					workers, part.name, serial.now, par.now)
-			}
-			if !reflect.DeepEqual(par.links, serial.links) {
-				t.Errorf("%d workers (%s): per-link counters diverged", workers, part.name)
-			}
+		par := torusRun(t, tccluster.WithParallel(workers))
+		if par.fired != serial.fired {
+			t.Errorf("%d workers: event count diverged: serial %d, parallel %d",
+				workers, serial.fired, par.fired)
+		}
+		if par.now != serial.now {
+			t.Errorf("%d workers: final virtual time diverged: serial %v, parallel %v",
+				workers, serial.now, par.now)
+		}
+		if !reflect.DeepEqual(par.links, serial.links) {
+			t.Errorf("%d workers: per-link counters diverged", workers)
 		}
 	}
 }

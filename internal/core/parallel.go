@@ -27,10 +27,9 @@ func crossLatency(l *ht.Link) sim.Time {
 // setupParallel splits the booted cluster into cfg.Parallel partitions,
 // each with its own event engine, packet pool, and trace shard, joined
 // by a conservative windowed barrier (sim.Parallel). The partition map
-// comes from cfg.Partitioner (default: greedy graph-cut over the
-// external-link graph); the executor's global lookahead is the fastest
-// cross-partition link, and its per-pair lookahead matrix the fastest
-// link between each partition pair.
+// is a greedy graph-cut over the external-link graph
+// (PartitionGraph.Assign); the executor's lookahead is the fastest
+// cross-partition link.
 //
 // It runs after firmware boot: construction and boot happen on a single
 // engine exactly as in serial mode, so the boot sequence — including its
@@ -79,25 +78,25 @@ func (c *Cluster) setupParallel() error {
 			A: c.extEnds[i][0], B: c.extEnds[i][1], W: 1 / lat.Nanos(),
 		})
 	}
-	partitioner := c.cfg.Partitioner
-	if partitioner == nil {
-		partitioner = PartitionGraphCut()
-	}
-	assign, err := partitioner.Assign(graph, p)
+	assign, err := graph.Assign(p)
 	if err != nil {
-		return fmt.Errorf("core: partitioner %s: %w", partitioner.Name(), err)
-	}
-	if err := validateAssignment(assign, n, p); err != nil {
-		return fmt.Errorf("core: partitioner %s: %w", partitioner.Name(), err)
+		return err
 	}
 	c.part = assign
 
+	// The lookahead is the fastest link crossing the cut; the cut
+	// weight sums the affinity of every crossing link.
 	look := sim.Time(0)
+	cutLinks := 0
+	cutWeight := 0.0
 	for i, l := range c.extLinks {
 		if c.part[c.extEnds[i][0]] == c.part[c.extEnds[i][1]] {
 			continue
 		}
-		if lat := crossLatency(l); look == 0 || lat < look {
+		lat := crossLatency(l)
+		cutLinks++
+		cutWeight += 1 / lat.Nanos()
+		if look == 0 || lat < look {
 			look = lat
 		}
 	}
@@ -185,35 +184,9 @@ func (c *Cluster) setupParallel() error {
 	if err != nil {
 		return err
 	}
-	// Per-pair lookahead: the fastest link between each partition pair.
-	// The executor closes it under composition, so partition windows
-	// widen to the actual influence distance instead of the single
-	// global minimum.
-	pair := make([][]sim.Time, p)
-	for i := range pair {
-		pair[i] = make([]sim.Time, p)
-	}
-	cutLinks := 0
-	cutWeight := 0.0
-	for i, l := range c.extLinks {
-		pa, pb := c.part[c.extEnds[i][0]], c.part[c.extEnds[i][1]]
-		if pa == pb {
-			continue
-		}
-		cutLinks++
-		lat := crossLatency(l)
-		cutWeight += 1 / lat.Nanos()
-		if pair[pa][pb] == 0 || lat < pair[pa][pb] {
-			pair[pa][pb] = lat
-			pair[pb][pa] = lat
-		}
-	}
-	if err := runner.SetPairLookahead(pair); err != nil {
-		return err
-	}
 	if pr := c.cfg.Profiler; pr != nil {
 		st := sim.NewParallelStats(p)
-		st.SetCut(partitioner.Name(), cutLinks, cutWeight)
+		st.SetCut(cutLinks, cutWeight)
 		runner.SetStats(st)
 		pr.SetParallelStats(st)
 	}

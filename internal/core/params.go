@@ -95,20 +95,14 @@ type Config struct {
 	// covers workload traffic only. Nil disables profiling at zero cost
 	// beyond a nil check per potential observation.
 	Profiler *prof.Profiler
-	// Parallel partitions the cluster by supernode across up to this
-	// many worker goroutines after boot, synchronized by a conservative
-	// time-windowed barrier whose width is the minimum cross-partition
-	// link latency. 0 or 1 runs the reference serial engine. Parallel
-	// runs reach the same final virtual time and per-link counters as
-	// serial runs; only intra-window event interleaving differs.
+	// Parallel splits the cluster across up to this many worker
+	// goroutines after boot: a greedy graph-cut over the external-link
+	// graph groups supernodes into partitions, synchronized by a
+	// conservative time-windowed barrier whose lookahead is the minimum
+	// cross-partition link latency. 0 or 1 runs the reference serial
+	// engine. Parallel runs are bit-exact with serial runs: the same
+	// final virtual time, per-link counters and workload output.
 	Parallel int
-	// Partitioner picks how supernodes are grouped onto parallel
-	// partitions. Nil selects the greedy graph-cut partitioner
-	// (PartitionGraphCut); PartitionBySupernode restores the original
-	// contiguous by-index split. The choice never changes simulation
-	// results, only how much the partitions overlap in time. Ignored
-	// on serial runs.
-	Partitioner Partitioner
 }
 
 // DefaultConfig returns the prototype-faithful configuration.

@@ -12,11 +12,11 @@ import (
 	"sort"
 )
 
-// PartitionGraph is the topology view a Partitioner consumes: one node
-// per supernode, one edge per external link. Edge weight is affinity —
-// the cost of cutting the edge, canonically the inverse of the link's
-// cross-partition latency in nanoseconds. Node weight models expected
-// event rate; zero or missing weights count as 1.
+// PartitionGraph is the topology view the partitioner consumes: one
+// node per supernode, one edge per external link. Edge weight is
+// affinity — the cost of cutting the edge, canonically the inverse of
+// the link's cross-partition latency in nanoseconds. Node weight models
+// expected event rate; zero or missing weights count as 1.
 type PartitionGraph struct {
 	Nodes int
 	NodeW []float64
@@ -30,22 +30,10 @@ type PartitionEdge struct {
 }
 
 // partHalf is one directed half of an undirected partition edge in the
-// adjacency view partitioners build.
+// adjacency view the partitioner builds.
 type partHalf struct {
 	to int
 	w  float64
-}
-
-// Partitioner assigns each node of a PartitionGraph to one of parts
-// partitions. Assignments must be deterministic: the same graph and
-// part count must always produce the same cut, or parallel runs would
-// stop being reproducible across processes.
-type Partitioner interface {
-	// Name identifies the strategy in profiles and scenario specs.
-	Name() string
-	// Assign returns a per-node partition index in [0, parts). Every
-	// partition must be non-empty.
-	Assign(g PartitionGraph, parts int) ([]int, error)
 }
 
 // nodeWeight reads g.NodeW with the 1-default.
@@ -57,7 +45,7 @@ func (g PartitionGraph) nodeWeight(i int) float64 {
 }
 
 // CutOf reports the number and total affinity weight of edges crossing
-// the given assignment — the figure of merit partitioners minimize.
+// the given assignment — the figure of merit the partitioner minimizes.
 func (g PartitionGraph) CutOf(assign []int) (links int, weight float64) {
 	for _, e := range g.Edges {
 		if e.A < len(assign) && e.B < len(assign) && assign[e.A] != assign[e.B] {
@@ -68,44 +56,23 @@ func (g PartitionGraph) CutOf(assign []int) (links int, weight float64) {
 	return links, weight
 }
 
-// supernodePartitioner is the original contiguous-index split: node i
-// goes to partition i*parts/n. It ignores the link graph entirely but
-// matches the paper's supernode-chain layouts, where index order is
-// physical order.
-type supernodePartitioner struct{}
-
-func (supernodePartitioner) Name() string { return "supernode" }
-
-func (supernodePartitioner) Assign(g PartitionGraph, parts int) ([]int, error) {
-	if err := checkPartitionArgs(g, parts); err != nil {
-		return nil, err
-	}
-	out := make([]int, g.Nodes)
-	for i := range out {
-		out[i] = i * parts / g.Nodes
-	}
-	return out, nil
-}
-
-// PartitionBySupernode returns the contiguous by-index partitioner,
-// the pre-partitioner default behavior.
-func PartitionBySupernode() Partitioner { return supernodePartitioner{} }
-
-// graphCutPartitioner grows partitions greedily over the link graph
+// Assign returns a per-node partition index in [0, parts), every
+// partition non-empty. It grows partitions greedily over the link graph
 // (greedy graph growing, the GGGP seed phase of multilevel
 // partitioners): each partition accretes the unassigned node with the
 // strongest affinity to it until the partition's node weight reaches
 // its fair share of what remains, then a boundary-refinement sweep
 // moves nodes whose foreign affinity exceeds their home affinity when
 // balance allows. All tie-breaks are by lowest node index, so the cut
-// is deterministic.
-type graphCutPartitioner struct{}
-
-func (graphCutPartitioner) Name() string { return "graph-cut" }
-
-func (graphCutPartitioner) Assign(g PartitionGraph, parts int) ([]int, error) {
-	if err := checkPartitionArgs(g, parts); err != nil {
-		return nil, err
+// is deterministic: the same graph and part count always produce the
+// same assignment, which keeps parallel runs reproducible across
+// processes.
+func (g PartitionGraph) Assign(parts int) ([]int, error) {
+	if parts < 1 {
+		return nil, fmt.Errorf("core: %d partitions", parts)
+	}
+	if g.Nodes < parts {
+		return nil, fmt.Errorf("core: %d nodes cannot fill %d partitions", g.Nodes, parts)
 	}
 	n := g.Nodes
 	adj := make([][]partHalf, n)
@@ -243,39 +210,4 @@ func refineCut(g PartitionGraph, adj [][]partHalf, assign []int, parts int) {
 			break
 		}
 	}
-}
-
-// PartitionGraphCut returns the greedy graph-cut partitioner, the
-// default for parallel clusters.
-func PartitionGraphCut() Partitioner { return graphCutPartitioner{} }
-
-func checkPartitionArgs(g PartitionGraph, parts int) error {
-	if parts < 1 {
-		return fmt.Errorf("core: %d partitions", parts)
-	}
-	if g.Nodes < parts {
-		return fmt.Errorf("core: %d nodes cannot fill %d partitions", g.Nodes, parts)
-	}
-	return nil
-}
-
-// validateAssignment checks a (possibly user-supplied) partitioner
-// output: right length, indices in range, no empty partition.
-func validateAssignment(assign []int, nodes, parts int) error {
-	if len(assign) != nodes {
-		return fmt.Errorf("core: partitioner assigned %d of %d nodes", len(assign), nodes)
-	}
-	seen := make([]bool, parts)
-	for i, p := range assign {
-		if p < 0 || p >= parts {
-			return fmt.Errorf("core: node %d assigned to partition %d of %d", i, p, parts)
-		}
-		seen[p] = true
-	}
-	for p, ok := range seen {
-		if !ok {
-			return fmt.Errorf("core: partition %d is empty", p)
-		}
-	}
-	return nil
 }

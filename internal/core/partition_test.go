@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -25,6 +26,39 @@ func gridGraph(w, h int, torus bool) PartitionGraph {
 		}
 	}
 	return g
+}
+
+// contiguousSplit is the by-index reference cut: node i goes to
+// partition i*parts/n. It ignores the link graph entirely but matches
+// the paper's supernode-chain layouts, where index order is physical
+// order — the baseline the graph-cut partitioner must match or beat.
+func contiguousSplit(n, parts int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i * parts / n
+	}
+	return out
+}
+
+// validateAssignment checks a partitioner output: right length,
+// indices in range, no empty partition.
+func validateAssignment(assign []int, nodes, parts int) error {
+	if len(assign) != nodes {
+		return fmt.Errorf("assigned %d of %d nodes", len(assign), nodes)
+	}
+	seen := make([]bool, parts)
+	for i, p := range assign {
+		if p < 0 || p >= parts {
+			return fmt.Errorf("node %d assigned to partition %d of %d", i, p, parts)
+		}
+		seen[p] = true
+	}
+	for p, ok := range seen {
+		if !ok {
+			return fmt.Errorf("partition %d is empty", p)
+		}
+	}
+	return nil
 }
 
 func chainGraph(n int) PartitionGraph {
@@ -57,7 +91,7 @@ func TestGraphCutBalanceBound(t *testing.T) {
 			if parts > fx.g.Nodes {
 				continue
 			}
-			assign, err := PartitionGraphCut().Assign(fx.g, parts)
+			assign, err := fx.g.Assign(parts)
 			if err != nil {
 				t.Fatalf("%s p=%d: %v", fx.name, parts, err)
 			}
@@ -87,14 +121,11 @@ func TestGraphCutBeatsOrMatchesSupernode(t *testing.T) {
 			if parts > fx.g.Nodes {
 				continue
 			}
-			gc, err := PartitionGraphCut().Assign(fx.g, parts)
+			gc, err := fx.g.Assign(parts)
 			if err != nil {
 				t.Fatalf("%s p=%d graph-cut: %v", fx.name, parts, err)
 			}
-			sn, err := PartitionBySupernode().Assign(fx.g, parts)
-			if err != nil {
-				t.Fatalf("%s p=%d supernode: %v", fx.name, parts, err)
-			}
+			sn := contiguousSplit(fx.g.Nodes, parts)
 			_, gcW := fx.g.CutOf(gc)
 			_, snW := fx.g.CutOf(sn)
 			if gcW > snW {
@@ -114,11 +145,11 @@ func TestGraphCutExploitsTopology(t *testing.T) {
 		{A: 0, B: 2, W: 1}, {A: 2, B: 4, W: 1}, {A: 4, B: 1, W: 1},
 		{A: 1, B: 3, W: 1}, {A: 3, B: 5, W: 1},
 	}}
-	gc, err := PartitionGraphCut().Assign(g, 2)
+	gc, err := g.Assign(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sn, _ := PartitionBySupernode().Assign(g, 2)
+	sn := contiguousSplit(g.Nodes, 2)
 	gcL, _ := g.CutOf(gc)
 	snL, _ := g.CutOf(sn)
 	if gcL != 1 {
@@ -136,7 +167,7 @@ func TestGraphCutPrefersCheapEdges(t *testing.T) {
 		{A: 0, B: 1, W: 1}, {A: 1, B: 2, W: 1}, {A: 2, B: 3, W: 0.1},
 		{A: 3, B: 4, W: 1}, {A: 4, B: 5, W: 1},
 	}}
-	assign, err := PartitionGraphCut().Assign(g, 2)
+	assign, err := g.Assign(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,11 +181,11 @@ func TestGraphCutPrefersCheapEdges(t *testing.T) {
 // topology alone.
 func TestPartitionersDeterministic(t *testing.T) {
 	for _, fx := range partitionFixtures {
-		a1, err := PartitionGraphCut().Assign(fx.g, 4)
+		a1, err := fx.g.Assign(4)
 		if err != nil {
 			t.Fatalf("%s: %v", fx.name, err)
 		}
-		a2, _ := PartitionGraphCut().Assign(fx.g, 4)
+		a2, _ := fx.g.Assign(4)
 		if !reflect.DeepEqual(a1, a2) {
 			t.Errorf("%s: graph-cut not deterministic", fx.name)
 		}
@@ -166,11 +197,11 @@ func TestPartitionersDeterministic(t *testing.T) {
 // behavior byte-for-byte.
 func TestGraphCutChainMatchesSupernode(t *testing.T) {
 	g := chainGraph(5)
-	gc, err := PartitionGraphCut().Assign(g, 2)
+	gc, err := g.Assign(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sn, _ := PartitionBySupernode().Assign(g, 2)
+	sn := contiguousSplit(g.Nodes, 2)
 	if !reflect.DeepEqual(gc, sn) {
 		t.Errorf("chain-5 p=2: graph-cut %v, supernode %v", gc, sn)
 	}
@@ -178,14 +209,14 @@ func TestGraphCutChainMatchesSupernode(t *testing.T) {
 
 // TestPartitionArgErrors: degenerate shapes are rejected.
 func TestPartitionArgErrors(t *testing.T) {
-	if _, err := PartitionGraphCut().Assign(chainGraph(2), 3); err == nil {
+	if _, err := chainGraph(2).Assign(3); err == nil {
 		t.Error("3 partitions over 2 nodes accepted")
 	}
-	if _, err := PartitionGraphCut().Assign(chainGraph(2), 0); err == nil {
+	if _, err := chainGraph(2).Assign(0); err == nil {
 		t.Error("0 partitions accepted")
 	}
 	bad := PartitionGraph{Nodes: 2, Edges: []PartitionEdge{{A: 0, B: 7, W: 1}}}
-	if _, err := PartitionGraphCut().Assign(bad, 2); err == nil {
+	if _, err := bad.Assign(2); err == nil {
 		t.Error("out-of-range edge accepted")
 	}
 }

@@ -183,10 +183,8 @@ func addProfile(s trace.Snapshot, p *prof.Profiler) {
 	s.Gauges[trace.Key{Name: "prof.pdes.occupancy"}] = ps.Occupancy
 	s.Gauges[trace.Key{Name: "prof.pdes.imbalance"}] = ps.Imbalance
 	s.Gauges[trace.Key{Name: "prof.pdes.mean_window_ns"}] = ps.MeanWindowNs
-	if ps.Partitioner != "" {
-		s.Gauges[trace.Key{Name: "prof.pdes.cut_links"}] = float64(ps.CutLinks)
-		s.Gauges[trace.Key{Name: "prof.pdes.cut_weight"}] = ps.CutWeight
-	}
+	s.Gauges[trace.Key{Name: "prof.pdes.cut_links"}] = float64(ps.CutLinks)
+	s.Gauges[trace.Key{Name: "prof.pdes.cut_weight"}] = ps.CutWeight
 	for _, pt := range ps.Partitions {
 		s.Gauges[trace.Key{Name: "prof.pdes.partition_busy_ms", Node: pt.Partition}] = pt.BusyMS
 		s.Gauges[trace.Key{Name: "prof.pdes.partition_barrier_wait_ms", Node: pt.Partition}] = pt.BarrierWaitMS

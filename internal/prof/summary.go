@@ -212,21 +212,9 @@ func (s *Summary) WriteText(w io.Writer) error {
 	if s.PDES != nil {
 		ew.printf("pdes: %d windows, occupancy %.2f, imbalance %.2f, serial %.2fms, span %.2fms\n",
 			s.PDES.Windows, s.PDES.Occupancy, s.PDES.Imbalance, s.PDES.SerialMS, s.PDES.SpanMS)
-		if s.PDES.Partitioner != "" {
-			ew.printf("  cut: %s, %d links crossing, weight %.3f\n",
-				s.PDES.Partitioner, s.PDES.CutLinks, s.PDES.CutWeight)
-		}
+		ew.printf("  cut: %d links crossing, weight %.3f\n", s.PDES.CutLinks, s.PDES.CutWeight)
 		ew.printf("  windows: %d dirty flips, %d widened past 2x lookahead, mean width %.1fns\n",
 			s.PDES.DirtyFlips, s.PDES.WideWindows, s.PDES.MeanWindowNs)
-		for _, b := range s.PDES.WindowWidthHist {
-			if b.UpToNs >= 1e15 {
-				// The overflow bucket: fast-forward windows bounded only
-				// by the run deadline, not by any peer.
-				ew.printf("    width unbounded: %d\n", b.Count)
-				continue
-			}
-			ew.printf("    width <= %.1fns: %d\n", b.UpToNs, b.Count)
-		}
 		for _, ps := range s.PDES.Partitions {
 			ew.printf("  partition %d: %d events, busy %.2fms, barrier wait %.2fms, %d active windows\n",
 				ps.Partition, ps.Events, ps.BusyMS, ps.BarrierWaitMS, ps.ActiveWindows)

@@ -153,9 +153,6 @@ func (s *Scenario) build(p *buildParams, tracer tccluster.Tracer) (*tccluster.Cl
 		tccluster.WithSeed(s.Seed),
 		tccluster.WithParallel(s.Parallel),
 	}
-	if s.Partitioner == "supernode" {
-		opts = append(opts, tccluster.WithPartitioner(tccluster.PartitionBySupernode()))
-	}
 	if tracer != nil {
 		opts = append(opts, tccluster.WithTracer(tracer))
 	}

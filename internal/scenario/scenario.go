@@ -57,10 +57,6 @@ type Scenario struct {
 	// Parallel is the partition worker count (0 or 1 = serial; results
 	// are identical either way).
 	Parallel int `json:"parallel,omitempty"`
-	// Partitioner picks the parallel partition map: "" or "graph-cut"
-	// for the greedy graph-cut default, "supernode" for the contiguous
-	// by-index split. Results are identical either way.
-	Partitioner string `json:"partitioner,omitempty"`
 	// Sweep, when present, expands this scenario into a grid of cells
 	// (see Cells). The swept fields override the base values above.
 	Sweep *Sweep `json:"sweep,omitempty"`
@@ -344,11 +340,6 @@ func (s *Scenario) Validate() error {
 	}
 	if s.Parallel < 0 {
 		return badf("%s: negative parallel %d", s.Name, s.Parallel)
-	}
-	switch s.Partitioner {
-	case "", "graph-cut", "supernode":
-	default:
-		return badf("%s: unknown partitioner %q (want graph-cut or supernode)", s.Name, s.Partitioner)
 	}
 	if len(s.Workloads) == 0 {
 		return badf("%s: no workloads", s.Name)

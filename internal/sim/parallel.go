@@ -7,23 +7,20 @@
 // only at window boundaries, under the coordinator's happens-before.
 //
 // The scheme is the classical synchronous conservative PDES barrier
-// (Chandy-Misra lookahead without null messages), sharpened in two
-// ways. First, the bound is per partition pair: partition p may run to
-// min over peers q of (next_q + dist(q, p)), where dist is the
-// all-pairs shortest cross-partition latency (Floyd-Warshall over the
-// partition quotient graph), not the single global minimum. Second, a
-// partition whose peers are all idle is unconstrained and fast-forwards
-// to the run deadline in one window — and snaps back to narrow windows
-// the moment a peer posts mail, because the post both caps the producer
-// (Mailbox.Post) and re-arms the consumer's horizon at the next
-// barrier. An idle consumer's clock stays parked until mail arrives, so
-// a post landing mid-widened-window is still delivered and executed at
-// its exact virtual time.
+// (Chandy-Misra lookahead without null messages) with one window rule:
+// partition p may run to the earliest pending time among the other
+// partitions plus the global lookahead. A partition whose peers are all
+// idle is therefore unconstrained and fast-forwards to the run deadline
+// in one window — and snaps back to narrow windows the moment it posts
+// mail, because the post both caps the producer (Mailbox.Post) and
+// re-arms the consumer's horizon at the next barrier. An idle
+// consumer's clock stays parked until mail arrives, so a post landing
+// mid-widened-window is still delivered and executed at its exact
+// virtual time.
 package sim
 
 import (
 	"fmt"
-	"math/bits"
 	"sync"
 	"time"
 )
@@ -144,16 +141,8 @@ func (mb *Mailbox) drainInto(e *Engine) {
 // once, on the first run, and park on their command channels between
 // windows, so repeated runs pay no spawn cost.
 type Parallel struct {
-	engs    []*Engine
-	inboxes [][]*Mailbox // inboxes[p]: mailboxes consumed by partition p
-	look    Time
-
-	// dist[q][p] is the minimum cross-partition virtual latency of any
-	// causal chain from partition q to partition p (all-pairs shortest
-	// path over per-pair direct lookaheads; maxTime when unreachable,
-	// 0 on the diagonal). Nil selects the uniform fallback: every pair
-	// at distance look over a complete influence graph.
-	dist [][]Time
+	engs []*Engine
+	look Time
 
 	barrier func() // serial section at each window boundary
 
@@ -214,7 +203,6 @@ func NewParallel(engs []*Engine, inboxes [][]*Mailbox, look Time) (*Parallel, er
 	}
 	p := &Parallel{
 		engs:       engs,
-		inboxes:    inboxes,
 		look:       look,
 		active:     make([]bool, len(engs)),
 		nexts:      make([]Time, len(engs)),
@@ -248,56 +236,6 @@ func NewParallel(engs []*Engine, inboxes [][]*Mailbox, look Time) (*Parallel, er
 // Lookahead returns the minimum cross-partition lookahead the executor
 // synchronizes on.
 func (p *Parallel) Lookahead() Time { return p.look }
-
-// SetPairLookahead installs the direct cross-partition latency matrix:
-// direct[q][p] is the minimum virtual latency of mail posted by
-// partition q for partition p, or 0 when q never posts to p directly.
-// The executor closes the matrix under composition (Floyd-Warshall), so
-// a partition's window bound accounts for multi-hop influence chains
-// through idle intermediates. Every finite direct entry must be at
-// least the executor's global lookahead — the producer-side window cap
-// (Mailbox.Post) is derived from it.
-func (p *Parallel) SetPairLookahead(direct [][]Time) error {
-	n := len(p.engs)
-	if len(direct) != n {
-		return fmt.Errorf("sim: pair lookahead matrix is %dx, want %dx%d", len(direct), n, n)
-	}
-	d := make([][]Time, n)
-	for i := range d {
-		if len(direct[i]) != n {
-			return fmt.Errorf("sim: pair lookahead row %d has %d entries, want %d", i, len(direct[i]), n)
-		}
-		d[i] = make([]Time, n)
-		for j := range d[i] {
-			w := direct[i][j]
-			switch {
-			case i == j:
-				d[i][j] = 0
-			case w <= 0:
-				d[i][j] = maxTime
-			case w < p.look:
-				return fmt.Errorf("sim: pair lookahead %v for %d->%d below global lookahead %v", w, i, j, p.look)
-			default:
-				d[i][j] = w
-			}
-		}
-	}
-	for k := 0; k < n; k++ {
-		for i := 0; i < n; i++ {
-			dik := d[i][k]
-			if dik == maxTime {
-				continue
-			}
-			for j := 0; j < n; j++ {
-				if dkj := d[k][j]; dkj != maxTime && dik+dkj < d[i][j] {
-					d[i][j] = dik + dkj
-				}
-			}
-		}
-	}
-	p.dist = d
-	return nil
-}
 
 // Now returns the global virtual time: the maximum over partition
 // clocks. Between runs all clocks are aligned, so this equals each
@@ -459,17 +397,18 @@ func (p *Parallel) execWindow(idx int, w Time) {
 // undelivered mail), then execute a per-partition window on every
 // partition that has work, then run the serial barrier section.
 //
-// Windows are adaptively widened per partition pair: partition p can
-// only be influenced by a peer q through mail that costs at least
-// dist(q, p) of virtual latency from q's current horizon, so p may
-// safely run to min over q of (next_q + dist(q, p)) — potentially far
-// past the classical global bound tnext+look. When every peer is idle
-// (or unreachable) the bound degenerates to the run deadline: the lone
-// active partition fast-forwards through its remaining work in a single
-// window instead of draining one lookahead-sized window per iteration.
-// The producer-side cap (Mailbox.Post) covers the one influence the
-// matrix excludes — a chain leaving p and returning to it within the
-// same window.
+// Window rule: partition p can only be influenced by a peer q through
+// mail that costs at least the global lookahead from q's earliest
+// pending time, so p may safely run to min over q != p of next_q +
+// lookahead. For every partition except the unique holder of the
+// global minimum that is the classical bound tnext+look; the holder
+// itself may run ahead to the second-smallest horizon plus lookahead.
+// When every peer is idle the bound degenerates to the run deadline:
+// the lone active partition fast-forwards through its remaining work
+// in a single window instead of draining one lookahead-sized window
+// per iteration. The producer-side cap (Mailbox.Post) covers the one
+// influence the peer horizons miss — a chain leaving p and returning
+// to it within the same window.
 func (p *Parallel) run(deadline Time, bounded bool) {
 	defer p.stopWorkers()
 	st := p.stats
@@ -540,18 +479,15 @@ func (p *Parallel) run(deadline Time, bounded bool) {
 			break
 		}
 
-		// First and second smallest per-partition horizons, for the
-		// uniform fallback (no pair matrix): partition pi's bound is the
-		// smallest next over its peers, which is m1 unless pi itself is
-		// the unique holder of m1, then m2.
+		// First and second smallest per-partition horizons: partition
+		// pi's bound is the smallest next over its peers, which is m1
+		// unless pi itself is the unique holder of m1, then m2.
 		m1, m2, m1i := maxTime, maxTime, -1
-		if p.dist == nil {
-			for pi, t := range p.nexts {
-				if t < m1 {
-					m1, m2, m1i = t, m1, pi
-				} else if t < m2 {
-					m2 = t
-				}
+		for pi, t := range p.nexts {
+			if t < m1 {
+				m1, m2, m1i = t, m1, pi
+			} else if t < m2 {
+				m2 = t
 			}
 		}
 
@@ -563,36 +499,13 @@ func (p *Parallel) run(deadline Time, bounded bool) {
 			if !p.active[pi] {
 				continue
 			}
-			var w Time
-			if p.dist != nil {
-				// Per-pair bound: the earliest instant any peer's pending
-				// work could influence pi.
+			other := m1
+			if pi == m1i {
+				other = m2
+			}
+			w := other + p.look
+			if w < other { // overflow (peers idle: other == maxTime)
 				w = maxTime
-				for qi, t := range p.nexts {
-					if qi == pi || t == maxTime {
-						continue
-					}
-					d := p.dist[qi][pi]
-					if d == maxTime {
-						continue
-					}
-					b := t + d
-					if b < t { // overflow
-						b = maxTime
-					}
-					if b < w {
-						w = b
-					}
-				}
-			} else {
-				other := m1
-				if pi == m1i {
-					other = m2
-				}
-				w = other + p.look
-				if w < other { // overflow (peers idle: other == maxTime)
-					w = maxTime
-				}
 			}
 			if p.sampleFn != nil && p.sampleNext > tnext && w > p.sampleNext {
 				w = p.sampleNext
@@ -715,14 +628,4 @@ func (p *Parallel) worker(idx int, cmds chan Time, done chan int) {
 		p.execWindow(idx, w)
 		done <- idx
 	}
-}
-
-// widthBucket maps a window width in picoseconds to its log2 histogram
-// bucket (bucket k counts widths in [2^(k-1), 2^k), bucket 0 widths of
-// zero).
-func widthBucket(w Time) int {
-	if w <= 0 {
-		return 0
-	}
-	return bits.Len64(uint64(w))
 }

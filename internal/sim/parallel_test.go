@@ -287,9 +287,6 @@ func TestParallelSnapBackExactDelivery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.SetPairLookahead([][]Time{{0, look}, {look, 0}}); err != nil {
-		t.Fatal(err)
-	}
 	st := NewParallelStats(2)
 	p.SetStats(st)
 	p.Run()
@@ -315,15 +312,15 @@ func TestParallelSnapBackExactDelivery(t *testing.T) {
 	}
 }
 
-// TestParallelPairLookaheadChain runs two independent bounce pairs over
+// TestParallelMixedLatencyChain runs two independent bounce pairs over
 // a three-partition line with very different cross-partition latencies
-// (A-B fast, B-C slow, A-C only via composition) and checks the result
-// against a single serial engine: the per-pair distance matrix must
-// change scheduling, never outcomes.
-func TestParallelPairLookaheadChain(t *testing.T) {
+// (A-B fast, B-C slow) and checks the result against a single serial
+// engine: windows sized by the fast pair's global lookahead, with the
+// minimum-holder running ahead to the second horizon, must change
+// scheduling, never outcomes.
+func TestParallelMixedLatencyChain(t *testing.T) {
 	const (
 		lookAB = 10 * Nanosecond
-		lookBC = 100 * Nanosecond
 		dAB    = 13 * Nanosecond
 		dBC    = 120 * Nanosecond
 		nAB    = 30
@@ -363,14 +360,6 @@ func TestParallelPairLookaheadChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = p.SetPairLookahead([][]Time{
-		{0, lookAB, 0},
-		{lookAB, 0, lookBC},
-		{0, lookBC, 0},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	p.Run()
 
 	for name, pair := range map[string][2][]Time{
@@ -394,19 +383,5 @@ func TestParallelPairLookaheadChain(t *testing.T) {
 	}
 	if p.Now() != se.Now() {
 		t.Fatalf("final time diverged: parallel %v, serial %v", p.Now(), se.Now())
-	}
-}
-
-// TestSetPairLookaheadValidation rejects malformed matrices.
-func TestSetPairLookaheadValidation(t *testing.T) {
-	p, err := NewParallel([]*Engine{NewEngine(), NewEngine()}, [][]*Mailbox{nil, nil}, 10*Nanosecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.SetPairLookahead([][]Time{{0, 10 * Nanosecond}}); err == nil {
-		t.Error("short matrix accepted")
-	}
-	if err := p.SetPairLookahead([][]Time{{0, Nanosecond}, {Nanosecond, 0}}); err == nil {
-		t.Error("pair lookahead below global lookahead accepted")
 	}
 }

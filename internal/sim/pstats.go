@@ -37,23 +37,19 @@ type ParallelStats struct {
 
 	mail []atomic.Uint64 // n*n mailbox posts, row = producer partition
 
-	// Window-geometry accounting for the adaptive widening levers:
-	// dirtyFlips counts mailbox flips actually performed (vs the n²
-	// flips per window a full matrix scan would pay), widthSum the sum
-	// of window widths in virtual ps, wideWindows the windows widened
-	// past 2× the global lookahead, widthHist a log2-ps histogram of
-	// window widths (bucket k = widths in [2^(k-1), 2^k) ps).
+	// Window-geometry accounting: dirtyFlips counts mailbox flips
+	// actually performed (vs the n² flips per window a full matrix scan
+	// would pay), widthSum the sum of window widths in virtual ps,
+	// wideWindows the windows widened past 2× the global lookahead.
 	dirtyFlips   atomic.Uint64
 	widthSum     atomic.Int64
 	widthSamples atomic.Uint64
 	wideWindows  atomic.Uint64
-	widthHist    [65]atomic.Uint64
 
 	// Partition-cut description, set once at setup by whoever derived
 	// the partitions; not touched by the run loop.
-	cutLinks    int
-	cutWeight   float64
-	partitioner string
+	cutLinks  int
+	cutWeight float64
 }
 
 // NewParallelStats sizes the accounting for n partitions.
@@ -79,22 +75,18 @@ func (s *ParallelStats) addMail(from, to, cnt int) {
 	s.mail[from*s.n+to].Add(uint64(cnt))
 }
 
-// SetCut records how the partition cut was derived: the partitioner's
-// name, the number of cross-partition links, and their total affinity
-// weight. Setup time only.
-func (s *ParallelStats) SetCut(partitioner string, links int, weight float64) {
-	s.partitioner = partitioner
+// SetCut records the partition cut: the number of cross-partition
+// links and their total affinity weight. Setup time only.
+func (s *ParallelStats) SetCut(links int, weight float64) {
 	s.cutLinks = links
 	s.cutWeight = weight
 }
 
 // noteWidth folds one window's width (virtual ps) into the geometry
 // accounting. Coordinator only, once per dispatched window. Unbounded
-// fast-forward windows (width pinned at maxTime) land in the top
-// histogram bucket but stay out of the mean, which would otherwise
-// overflow and say nothing.
+// fast-forward windows (width pinned at maxTime) count as wide but stay
+// out of the mean, which would otherwise overflow and say nothing.
 func (s *ParallelStats) noteWidth(w, look Time) {
-	s.widthHist[widthBucket(w)].Add(1)
 	if w > 2*look {
 		s.wideWindows.Add(1)
 	}
@@ -167,12 +159,11 @@ type ParallelSummary struct {
 	// published toward partition j.
 	MailboxPosts [][]uint64 `json:"mailbox_posts"`
 
-	// Partitioner, CutLinks and CutWeight describe how the partition
-	// cut was derived (see ParallelStats.SetCut); zero values when the
-	// deriving layer did not report them.
-	Partitioner string  `json:"partitioner,omitempty"`
-	CutLinks    int     `json:"cut_links,omitempty"`
-	CutWeight   float64 `json:"cut_weight,omitempty"`
+	// CutLinks and CutWeight describe the partition cut (see
+	// ParallelStats.SetCut); zero values when the deriving layer did
+	// not report them.
+	CutLinks  int     `json:"cut_links,omitempty"`
+	CutWeight float64 `json:"cut_weight,omitempty"`
 
 	// DirtyFlips counts mailbox flips the coordinator performed; a full
 	// matrix scan would have paid Windows × Partitions² of them.
@@ -182,17 +173,6 @@ type ParallelSummary struct {
 	// windows in virtual nanoseconds.
 	WideWindows  uint64  `json:"wide_windows"`
 	MeanWindowNs float64 `json:"mean_window_ns"`
-	// WindowWidthHist is the log2 histogram of window widths: bucket
-	// UpToNs is the inclusive upper bound in virtual ns (the last
-	// bucket collects unbounded fast-forward windows).
-	WindowWidthHist []WindowWidthBucket `json:"window_width_hist,omitempty"`
-}
-
-// WindowWidthBucket is one populated bucket of the window-width
-// histogram.
-type WindowWidthBucket struct {
-	UpToNs float64 `json:"up_to_ns"`
-	Count  uint64  `json:"count"`
 }
 
 const nsPerMS = 1e6
@@ -235,24 +215,12 @@ func (s *ParallelStats) Summary() ParallelSummary {
 		}
 		out.MailboxPosts[i] = row
 	}
-	out.Partitioner = s.partitioner
 	out.CutLinks = s.cutLinks
 	out.CutWeight = s.cutWeight
 	out.DirtyFlips = s.dirtyFlips.Load()
 	out.WideWindows = s.wideWindows.Load()
 	if n := s.widthSamples.Load(); n > 0 {
 		out.MeanWindowNs = float64(s.widthSum.Load()) / float64(n) / 1e3
-	}
-	for k := range s.widthHist {
-		c := s.widthHist[k].Load()
-		if c == 0 {
-			continue
-		}
-		upNs := float64(maxTime) / 1e3
-		if k < 63 {
-			upNs = float64(uint64(1)<<uint(k)) / 1e3
-		}
-		out.WindowWidthHist = append(out.WindowWidthHist, WindowWidthBucket{UpToNs: upNs, Count: c})
 	}
 	return out
 }

@@ -383,41 +383,16 @@ func WithLegacyEventQueue() Option {
 	return func(b *buildOptions) { b.cfg.LegacyEventQueue = true }
 }
 
-// WithParallel runs the simulation on up to n worker goroutines: the
-// cluster is partitioned by supernode, each partition advancing its own
-// event queue, synchronized by a conservative time-windowed barrier
-// whose width is the minimum cross-partition link latency (serialization
-// plus cable flight — nothing crosses a partition cut faster). Parallel
-// runs reach exactly the same final virtual time and per-link counters
-// as serial runs; only the interleaving of causally independent events
-// within a window differs. n <= 1 keeps the reference serial engine.
+// WithParallel runs the simulation on up to n worker goroutines: a
+// greedy graph-cut over the external-link graph groups supernodes into
+// partitions, each advancing its own event queue, synchronized by a
+// conservative time-windowed barrier whose lookahead is the minimum
+// cross-partition link latency (serialization plus cable flight —
+// nothing crosses a partition cut faster). Parallel runs are bit-exact
+// with serial runs. n <= 1 keeps the reference serial engine.
 // Incompatible with WithLegacyEventQueue.
 func WithParallel(n int) Option {
 	return func(b *buildOptions) { b.cfg.Parallel = n }
-}
-
-// Partitioner decides how supernodes are grouped onto WithParallel
-// partitions; see core.Partitioner. Implementations must be
-// deterministic.
-type Partitioner = core.Partitioner
-
-// PartitionGraphCut returns the default partitioner for parallel runs:
-// a greedy graph-cut over the external-link graph that balances
-// expected event load while minimizing the affinity (inverse latency)
-// of cut links — fewer, slower cross-partition links mean less mailbox
-// traffic and wider conservative windows.
-func PartitionGraphCut() Partitioner { return core.PartitionGraphCut() }
-
-// PartitionBySupernode returns the original contiguous by-index
-// partitioner: node i goes to partition i*p/n, matching the paper's
-// supernode-chain physical order.
-func PartitionBySupernode() Partitioner { return core.PartitionBySupernode() }
-
-// WithPartitioner selects the partition map for WithParallel runs. The
-// partitioner only shapes how the work is distributed; results are
-// bit-identical across partitioners and worker counts.
-func WithPartitioner(p Partitioner) Option {
-	return func(b *buildOptions) { b.cfg.Partitioner = p }
 }
 
 // WithMonitor starts the live-monitoring subsystem on the cluster: an
