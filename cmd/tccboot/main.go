@@ -65,7 +65,7 @@ func main() {
 	}
 	start := c.Now()
 	var landed tccluster.Time
-	dst.Machine().Procs[0].NB.SetWriteHook(func(uint64, int) { landed = c.Now() })
+	dst.Machine().Procs[0].NB.WatchWrites(0, ^uint64(0), func(uint64, int) { landed = c.Now() })
 	src.Core().StoreBlock(dst.MemBase()+8<<20, payload, func(err error) {
 		if err != nil {
 			fail(err)

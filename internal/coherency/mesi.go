@@ -1,16 +1,12 @@
 // Package coherency implements the MESI cache-coherence protocol with
-// Opteron-style broadcast probes. It serves two roles in the TCCluster
-// reproduction:
-//
-//  1. It is the scalability foil of the paper's argument (§I, §III):
-//     every miss or upgrade probes every other node and must collect all
-//     responses before completing, so probe traffic and worst-case probe
-//     latency grow with node count. Experiment E5 sweeps this cost
-//     against TCCluster's constant per-message cost.
-//  2. It checks the consistency rule TCCluster imposes on receivers:
-//     arriving non-coherent writes generate no invalidations (§VI), so
-//     any cached copy of a receive buffer silently goes stale — the
-//     Domain records these as violations.
+// Opteron-style broadcast probes. It is the scalability foil of the
+// paper's argument (§I, §III): every miss or upgrade probes every other
+// node and must collect all responses before completing, so probe
+// traffic and worst-case probe latency grow with node count. Experiment
+// E5 sweeps this cost against TCCluster's constant per-message cost.
+// The receive-side hazard of the non-coherent fabric — an arriving
+// write invalidates no cached copy (§VI) — is modelled by the CPU cache
+// (internal/cpu), not here.
 package coherency
 
 import (
@@ -77,7 +73,6 @@ type Stats struct {
 	ProbesSent      uint64
 	Invalidations   uint64
 	WritebacksToMem uint64
-	Violations      uint64 // stale-cache hazards from non-coherent writes
 }
 
 // HopsFunc returns the fabric distance between two nodes of the domain;
@@ -244,27 +239,6 @@ func (d *Domain) Evict(node int, line uint64) {
 	s[node] = Invalid
 }
 
-// NonCoherentWrite models a TCCluster write arriving at the home node
-// through the IO bridge: per the paper (§VI), it generates NO cache
-// invalidations. If any node still caches the line, that copy is now
-// stale — recorded as a violation, the hazard the UC receive mapping
-// exists to prevent.
-func (d *Domain) NonCoherentWrite(line uint64) (staleCopies int) {
-	s, ok := d.lines[line]
-	if !ok {
-		return 0
-	}
-	for _, st := range s {
-		if st != Invalid {
-			staleCopies++
-		}
-	}
-	if staleCopies > 0 {
-		d.stats.Violations += uint64(staleCopies)
-	}
-	return staleCopies
-}
-
 // CheckInvariants verifies the MESI safety properties across all lines:
 // at most one Modified-or-Exclusive owner, and an owner excludes any
 // other valid copy (single-writer / multiple-reader).
@@ -287,29 +261,4 @@ func (d *Domain) CheckInvariants() error {
 		}
 	}
 	return nil
-}
-
-// OnLocalAccess implements nb.CoherencyHook for a home node inside a
-// coherent domain: writes arriving over the IO bridge follow the
-// no-invalidation TCCluster behavior; everything else is accounted as
-// local traffic that the cpu-level cache model already covers.
-type HookAdapter struct {
-	Domain *Domain
-}
-
-// OnLocalAccess satisfies nb.CoherencyHook.
-func (h *HookAdapter) OnLocalAccess(addr uint64, n int, write, fromIOLink bool) int {
-	if !write || !fromIOLink {
-		return 0
-	}
-	const lineSize = 64
-	first := addr &^ (lineSize - 1)
-	last := (addr + uint64(n) - 1) &^ (lineSize - 1)
-	for line := first; ; line += lineSize {
-		h.Domain.NonCoherentWrite(line)
-		if line == last {
-			break
-		}
-	}
-	return 0 // no probes: TCCluster writes do not invalidate
 }

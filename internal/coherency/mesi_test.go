@@ -130,49 +130,6 @@ func TestProbeCostGrowsWithDomainSize(t *testing.T) {
 	}
 }
 
-// TCCluster receive path: non-coherent writes invalidate nothing, so a
-// cached copy becomes a recorded violation.
-func TestNonCoherentWriteViolations(t *testing.T) {
-	d := NewDomain(2, DefaultParams(), nil)
-	if stale := d.NonCoherentWrite(0x240); stale != 0 {
-		t.Errorf("uncached line: stale = %d, want 0", stale)
-	}
-	d.Read(1, 0x240)
-	if stale := d.NonCoherentWrite(0x240); stale != 1 {
-		t.Errorf("cached line: stale = %d, want 1", stale)
-	}
-	if d.Stats().Violations != 1 {
-		t.Errorf("violations = %d, want 1", d.Stats().Violations)
-	}
-	// The cached copy is still marked valid — that's the bug the UC
-	// mapping prevents.
-	if d.StateOf(1, 0x240) == Invalid {
-		t.Error("non-coherent write invalidated a cache line; it must not")
-	}
-}
-
-func TestHookAdapterCountsStaleLines(t *testing.T) {
-	d := NewDomain(2, DefaultParams(), nil)
-	d.Read(0, 0x1000)
-	d.Read(0, 0x1040)
-	h := &HookAdapter{Domain: d}
-	// A 128-byte IO write spanning both cached lines.
-	if probes := h.OnLocalAccess(0x1000, 128, true, true); probes != 0 {
-		t.Errorf("probes = %d, want 0 (TCCluster writes do not probe)", probes)
-	}
-	if d.Stats().Violations != 2 {
-		t.Errorf("violations = %d, want 2", d.Stats().Violations)
-	}
-	// Reads and non-IO traffic are not the adapter's business.
-	if h.OnLocalAccess(0x1000, 64, false, true) != 0 ||
-		h.OnLocalAccess(0x1000, 64, true, false) != 0 {
-		t.Error("adapter probed for non-write or non-IO access")
-	}
-	if d.Stats().Violations != 2 {
-		t.Error("non-write access recorded violations")
-	}
-}
-
 // Property: under arbitrary interleavings of reads, writes and evicts,
 // MESI safety invariants hold at every step.
 func TestMESIInvariantsProperty(t *testing.T) {

@@ -427,7 +427,6 @@ func (c *Cluster) Metrics() trace.Snapshot {
 			put("nb.pkts_forwarded", cnt.PktsForwarded)
 			put("nb.bridged_packets", cnt.BridgedPackets)
 			put("nb.broadcasts", cnt.Broadcasts)
-			put("nb.probes_issued", cnt.ProbesIssued)
 		}
 	}
 	if col, ok := c.cfg.Tracer.(*trace.Collector); ok && col != nil {
@@ -579,7 +578,7 @@ func (n *Node) Index() int { return n.idx }
 func (n *Node) Machine() *firmware.Machine { return n.machine }
 
 // Now returns the node's partition-local virtual time. Workload
-// callbacks (write hooks, fence completions) run on the partition that
+// callbacks (write watches, fence completions) run on the partition that
 // owns the node, so this is the clock they may read; the global
 // Cluster.Now is only meaningful while the cluster is quiescent.
 func (n *Node) Now() sim.Time { return n.machine.Eng.Now() }
@@ -626,13 +625,14 @@ func (n *Node) socketFor(off uint64) (*nb.MemoryController, uint64, error) {
 	return n.machine.Procs[s].NB.MemController(), off - uint64(s)*per, nil
 }
 
-// WatchWrites registers a doorbell on the node-local range
+// WatchWrites registers a watch on the node-local range
 // [off, off+size): fn fires, inside the store's DRAM-visibility event,
-// whenever a write overlapping the range lands in this node's memory
-// over the fabric. The message layer uses it to replace idle receive
-// polling with event-driven wake-ups. The range must lie within one
-// socket's memory slice. The returned function removes the watch.
-func (n *Node) WatchWrites(off, size uint64, fn func()) (func(), error) {
+// with the store's global physical address and size whenever a write
+// overlapping the range lands in this node's memory. The message layer
+// uses it as a doorbell that replaces idle receive polling with
+// event-driven wake-ups. The range must lie within one socket's memory
+// slice. The returned function removes the watch.
+func (n *Node) WatchWrites(off, size uint64, fn func(addr uint64, nBytes int)) (func(), error) {
 	per := n.MemSize() / uint64(n.Sockets())
 	s := off / per
 	if size == 0 || int(s) >= n.Sockets() || (off+size-1)/per != s {

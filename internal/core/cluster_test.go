@@ -105,7 +105,8 @@ func TestChainHopLatencyAdder(t *testing.T) {
 	for hop := 1; hop <= 4; hop++ {
 		dst := c.Node(hop)
 		var land sim.Time
-		dst.Machine().Procs[0].NB.SetWriteHook(func(uint64, int) { land = c.Engine().Now() })
+		nbr := dst.Machine().Procs[0].NB
+		id := nbr.WatchWrites(0, ^uint64(0), func(uint64, int) { land = c.Engine().Now() })
 		start := c.Engine().Now()
 		done := false
 		src.Core().StoreBlock(dst.MemBase()+0x80, make([]byte, 64), func(err error) {
@@ -119,7 +120,7 @@ func TestChainHopLatencyAdder(t *testing.T) {
 			t.Fatalf("hop %d: store did not land", hop)
 		}
 		lands = append(lands, land-start)
-		dst.Machine().Procs[0].NB.SetWriteHook(nil)
+		nbr.Unwatch(id)
 	}
 	for i := 1; i < len(lands); i++ {
 		adder := lands[i] - lands[i-1]
@@ -565,7 +566,8 @@ func TestMesh64Boards(t *testing.T) {
 	}
 	src, dst := c.Node(0), c.Node(63)
 	var landed sim.Time
-	dst.Machine().Procs[0].NB.SetWriteHook(func(uint64, int) { landed = c.Engine().Now() })
+	nbr := dst.Machine().Procs[0].NB
+	id := nbr.WatchWrites(0, ^uint64(0), func(uint64, int) { landed = c.Engine().Now() })
 	start := c.Engine().Now()
 	done := false
 	src.Core().StoreBlock(dst.MemBase()+2<<20, make([]byte, 64), func(err error) {
@@ -575,7 +577,7 @@ func TestMesh64Boards(t *testing.T) {
 		done = true
 	})
 	c.Run()
-	dst.Machine().Procs[0].NB.SetWriteHook(nil)
+	nbr.Unwatch(id)
 	if !done || landed == 0 {
 		t.Fatal("corner-to-corner store never landed")
 	}

@@ -301,7 +301,7 @@ func NewCore(eng *sim.Engine, node *nb.Northbridge, par Params) *Core {
 // MTRR exposes the memory-type registers for firmware programming.
 func (c *Core) MTRR() *MTRR { return c.mtrr }
 
-// Cache exposes the cache model (tests and the coherency layer).
+// Cache exposes the core's private cache model (tests inspect it).
 func (c *Core) Cache() *Cache { return c.cache }
 
 // Node returns the attached northbridge.

@@ -31,7 +31,8 @@ func LatencyBreakdown() (*stats.Table, error) {
 	var wire linkStages
 	link := c.ExternalLinks()[0]
 	link.SetTracer(&wire, 0)
-	dst.Machine().Procs[0].NB.SetWriteHook(func(uint64, int) { landed = dst.Now() })
+	dstNB := dst.Machine().Procs[0].NB
+	watch := dstNB.WatchWrites(0, ^uint64(0), func(uint64, int) { landed = dst.Now() })
 
 	start := c.Now()
 	src.StoreBlock(dst.MemBase()+8<<20, make([]byte, 64), func(err error) {
@@ -41,7 +42,7 @@ func LatencyBreakdown() (*stats.Table, error) {
 	})
 	c.Run()
 	link.SetTracer(nil, 0)
-	dst.Machine().Procs[0].NB.SetWriteHook(nil)
+	dstNB.Unwatch(watch)
 	txStart, rxAt := wire.tx, wire.rx
 	if issued == 0 || txStart == 0 || rxAt == 0 || landed == 0 {
 		return nil, fmt.Errorf("breakdown: missing stage timestamps")
@@ -116,9 +117,10 @@ func SupernodeTransit() (*stats.Table, error) {
 		Columns: []string{"source socket", "64B land ns", "64KB stream MB/s"},
 	}
 	dst := c.Node(1)
+	dstNB := dst.Machine().Procs[0].NB
 	for s := 0; s < 4; s++ {
 		var landed sim.Time
-		dst.Machine().Procs[0].NB.SetWriteHook(func(uint64, int) {
+		watch := dstNB.WatchWrites(0, ^uint64(0), func(uint64, int) {
 			if landed == 0 {
 				landed = dst.Now()
 			}
@@ -128,7 +130,7 @@ func SupernodeTransit() (*stats.Table, error) {
 		src := srcNode.CoreAt(s, 0)
 		src.StoreBlock(dst.MemBase()+8<<20, make([]byte, 64), func(error) {})
 		c.Run()
-		dst.Machine().Procs[0].NB.SetWriteHook(nil)
+		dstNB.Unwatch(watch)
 		if landed == 0 {
 			return nil, fmt.Errorf("socket %d: store never landed", s)
 		}

@@ -146,3 +146,42 @@ func TestGoldenAnswers(t *testing.T) {
 		}
 	}
 }
+
+// TestGoldenAnswersParallel reruns the experiments that time stores with
+// northbridge write watches on two partition workers, where the watch
+// callbacks fire on partition goroutines, and checks each against its
+// serial section of the golden file.
+func TestGoldenAnswersParallel(t *testing.T) {
+	want, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sections := map[string]string{}
+	var name string
+	for _, line := range strings.SplitAfter(string(want), "\n") {
+		if n, ok := strings.CutPrefix(line, "## "); ok {
+			name = strings.TrimSuffix(n, "\n")
+			continue
+		}
+		sections[name] += line
+	}
+	SetParallel(2)
+	defer SetParallel(0)
+	for _, g := range goldenRuns {
+		switch g.name {
+		case "hops", "linkspeed", "traffic", "breakdown":
+		default:
+			continue
+		}
+		if sections[g.name] == "" {
+			t.Fatalf("%s: no section in %s", g.name, goldenPath)
+		}
+		var got strings.Builder
+		if err := g.run(&got); err != nil {
+			t.Fatalf("%s: %v", g.name, err)
+		}
+		if got.String() != sections[g.name] {
+			t.Errorf("%s at -parallel 2 differs from serial:\n got: %q\nwant: %q", g.name, got.String(), sections[g.name])
+		}
+	}
+}

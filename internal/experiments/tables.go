@@ -34,11 +34,12 @@ func HopLatency(maxHops int) (*stats.Table, error) {
 	for hop := 1; hop <= maxHops; hop++ {
 		dst := c.Node(hop)
 		var land sim.Time
-		dst.Machine().Procs[0].NB.SetWriteHook(func(uint64, int) { land = dst.Now() })
+		nbr := dst.Machine().Procs[0].NB
+		id := nbr.WatchWrites(0, ^uint64(0), func(uint64, int) { land = dst.Now() })
 		start := c.Now()
 		c.Node(0).Core().StoreBlock(dst.MemBase()+8<<20, make([]byte, 64), func(error) {})
 		c.Run()
-		dst.Machine().Procs[0].NB.SetWriteHook(nil)
+		nbr.Unwatch(id)
 		if land == 0 {
 			return nil, fmt.Errorf("hop %d: store never landed", hop)
 		}
@@ -292,7 +293,7 @@ func LinkSpeedSweep() (*stats.Table, error) {
 			// One-way 64B land time.
 			var land sim.Time
 			dst := c.Node(1)
-			dst.Machine().Procs[0].NB.SetWriteHook(func(uint64, int) { land = dst.Now() })
+			dst.Machine().Procs[0].NB.WatchWrites(0, ^uint64(0), func(uint64, int) { land = dst.Now() })
 			start := c.Now()
 			c.Node(0).Core().StoreBlock(dst.MemBase()+9<<20, make([]byte, 64), func(error) {})
 			c.Run()

@@ -38,6 +38,7 @@ func MeshTraffic(flowBytes int) (*stats.Table, error) {
 		}
 		cfg := core.DefaultConfig()
 		cfg.SocketsPerNode = 2
+		cfg.Parallel = parallel
 		c, err := core.New(topo, cfg)
 		if err != nil {
 			return nil, err

@@ -300,8 +300,6 @@ type Link struct {
 	degraded     bool
 
 	trainings int
-	log       func(string)
-	tracer    trace.Tracer
 	trc       [2]trace.Tracer // tracer per side; both equal unless Split
 	traceID   int
 
@@ -403,15 +401,10 @@ func NewLink(eng *sim.Engine, cfg LinkConfig) *Link {
 	return l
 }
 
-// SetLog installs a training/event log callback (used by firmware logs
-// and tests).
-func (l *Link) SetLog(fn func(string)) { l.log = fn }
-
 // SetTracer installs the cluster-wide observability tracer for this
 // link, identified as Link=id in emitted events. A nil tracer (the
 // default) makes every emission site a single nil-check no-op.
 func (l *Link) SetTracer(tr trace.Tracer, id int) {
-	l.tracer = tr
 	l.trc = [2]trace.Tracer{tr, tr}
 	l.traceID = id
 }
@@ -483,12 +476,6 @@ func (l *Link) sched(side int, at sim.Time, arg sim.EventArg) {
 		return
 	}
 	l.engs[side].Schedule(at, l, arg)
-}
-
-func (l *Link) logf(format string, args ...interface{}) {
-	if l.log != nil {
-		l.log(fmt.Sprintf(format, args...))
-	}
 }
 
 // A returns the port on the A side.
@@ -824,7 +811,6 @@ func (l *Link) ForceDown() {
 	l.state = StateDown
 	l.typ = TypeDown
 	l.abortQueued()
-	l.logf("link forced down")
 }
 
 // abortQueued flushes both ports' wait queues and tx servers, completing
@@ -868,7 +854,6 @@ func (l *Link) SetFaultRate(rate float64, penalty sim.Time) {
 		l.faultPenalty = 500 * sim.Nanosecond
 	}
 	l.degraded = rate > l.cfg.ErrorRate
-	l.logf(fmt.Sprintf("link fault rate set to %.3f", rate))
 }
 
 // ClearFaultOverride restores the configured baseline error model.
@@ -914,7 +899,6 @@ func (l *Link) StartRetrain() bool {
 	l.state = StateTraining
 	l.typ = TypeDown
 	l.abortQueued()
-	l.logf("link retraining (fault campaign)")
 	return true
 }
 
@@ -998,8 +982,6 @@ func (l *Link) finishTraining(speed Speed, width int) {
 	l.trainings++
 	l.ports[0].credits = NewCredits(l.ports[1].bufferCfg())
 	l.ports[1].credits = NewCredits(l.ports[0].bufferCfg())
-	l.logf("link trained: %v %dx %v (%.1f Gbit/s/lane)",
-		l.typ, l.width, l.speed, l.speed.GbitPerLane())
 }
 
 // negotiateType implements the identification phase of training: two

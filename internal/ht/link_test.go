@@ -308,14 +308,12 @@ func TestPortAccessorsAndLogs(t *testing.T) {
 	eng := sim.NewEngine()
 	cfg := DefaultLinkConfig(ClassProcessor, ClassIODevice)
 	l := NewLink(eng, cfg)
-	var logs []string
-	l.SetLog(func(s string) { logs = append(logs, s) })
 	var traced packetEvents
 	l.SetTracer(&traced, 0)
 	l.ColdReset()
 	eng.Run()
-	if len(logs) == 0 {
-		t.Error("training produced no log")
+	if l.Trainings() != 1 {
+		t.Errorf("trainings = %d after cold reset, want 1", l.Trainings())
 	}
 	a := l.A()
 	if a.Side() != "A" || a.Class() != ClassProcessor || a.Link() != l {

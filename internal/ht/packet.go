@@ -222,20 +222,6 @@ func (p *Packet) Pooled() bool { return p.pool != nil }
 // to the partition's exile list and repatriated at the next barrier.
 func (p *Packet) FromPool(pp *PacketPool) bool { return p.pool == pp }
 
-// ForwardCopy returns an unpooled copy of the packet for fan-out
-// forwarding (broadcasts). Each egress gets its own copy so the
-// OnAccept bookkeeping of one path never mutates a packet another
-// partition is concurrently delivering; the payload slice is shared,
-// which is safe because delivered payloads are read-only.
-func (p *Packet) ForwardCopy() *Packet {
-	c := *p
-	c.pool = nil
-	c.nextFree = nil
-	c.pooled = false
-	c.OnAccept = nil
-	return &c
-}
-
 // Accept fires the OnAccept hook once and disarms it.
 func (p *Packet) Accept() {
 	if p.OnAccept != nil {

@@ -133,12 +133,13 @@ func (w *Window) Write(off uint64, data []byte, done func(error)) {
 // (the Sfence of §VI).
 func (w *Window) Sync(done func()) { w.core().Sfence(done) }
 
-// WatchWrites registers a doorbell on [off, off+size) of a local
-// window: fn fires whenever a remote store into the range becomes
-// visible in this node's DRAM. Remote windows refuse — a doorbell on
-// another node's memory would require reads across the link. The
-// returned function removes the watch.
-func (w *Window) WatchWrites(off, size uint64, fn func()) (func(), error) {
+// WatchWrites registers a watch on [off, off+size) of a local window:
+// fn fires with the store's global physical address and size whenever
+// a remote store into the range becomes visible in this node's DRAM.
+// Remote windows refuse — a watch on another node's memory would
+// require reads across the link. The returned function removes the
+// watch.
+func (w *Window) WatchWrites(off, size uint64, fn func(addr uint64, nBytes int)) (func(), error) {
 	if w.kind != LocalWindow {
 		return nil, fmt.Errorf("kernel: write watch on a remote window")
 	}

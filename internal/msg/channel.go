@@ -348,7 +348,7 @@ func (s *Sender) ensureFCDoorbell() bool {
 // fc page is written (a flow-control update, or a cumulative ack in
 // reliable mode — a parked sender woken by an ack simply re-reads and
 // parks again).
-func (s *Sender) onFCDoorbell() {
+func (s *Sender) onFCDoorbell(uint64, int) {
 	if s.fcParked != nil {
 		w := s.fcParked
 		s.fcParked = nil
@@ -756,7 +756,7 @@ func (r *Receiver) Recv(cb func([]byte, error)) {
 	if r.peekFn == nil {
 		r.peekFn = r.handlePeek
 	}
-	if r.par.Doorbell && r.par.PollInterval == 0 && r.unwatch == nil && !r.noBell {
+	if r.par.Doorbell && r.unwatch == nil && !r.noBell {
 		if un, err := r.ring.WatchWrites(0, r.par.RingBytes, r.onDoorbell); err == nil {
 			r.unwatch = un
 		} else {
@@ -769,7 +769,7 @@ func (r *Receiver) Recv(cb func([]byte, error)) {
 // onDoorbell runs inside the NB's store-visibility event whenever a
 // write into the ring lands in local DRAM: wake a parked poll loop, or
 // flag an active one so it re-polls before parking.
-func (r *Receiver) onDoorbell() {
+func (r *Receiver) onDoorbell(uint64, int) {
 	if r.parked {
 		r.parked = false
 		r.poll()
@@ -798,18 +798,11 @@ func (r *Receiver) poll() {
 	r.ring.Read(off, int(peek), r.peekFn)
 }
 
-// OnEvent re-enters the poll loop after a poll-interval sleep.
-func (r *Receiver) OnEvent(*sim.Engine, sim.EventArg) { r.poll() }
-
-// again re-arms the poll loop. With a poll interval it sleeps by typed
-// event (the receiver is its own handler); in doorbell mode it re-polls
-// only when a store landed during the last peek, otherwise it parks
-// until the NB rings — an empty ring costs zero events.
+// again re-arms the poll loop. Spin polling re-polls at once; in
+// doorbell mode it re-polls only when a store landed during the last
+// peek, otherwise it parks until the NB rings — an empty ring costs
+// zero events.
 func (r *Receiver) again() {
-	if r.par.PollInterval > 0 {
-		r.eng.ScheduleAfter(r.par.PollInterval, r, sim.EventArg{})
-		return
-	}
 	if r.unwatch != nil {
 		if r.dirty {
 			r.poll()

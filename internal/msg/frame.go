@@ -107,26 +107,21 @@ type Params struct {
 	// BulkBytes, if nonzero, allocates a one-sided rendezvous region the
 	// sender can Put into directly (§IV.A one-sided communication).
 	BulkBytes uint64
-	// PollInterval inserts an idle gap between receive polls. Zero (the
-	// default) polls back to back — one uncached DRAM read per
-	// iteration, the paper's mode, with its phase alignment and
-	// memory-bus contention faithfully simulated; a larger value trades
-	// detection latency for memory-bus traffic — the "additional
-	// processor-memory bus overhead when polling" the paper concedes
-	// (§VI).
-	PollInterval sim.Time
-	// Doorbell, when PollInterval is zero, replaces the spin loop with
-	// a parked receiver the northbridge wakes inside the
-	// store-visibility event when a write into the ring lands in DRAM,
-	// and lets a ring-full sender park on its flow-control page the
-	// same way. An idle endpoint then costs no events and no memory-bus
-	// traffic. This is a deliberate model change, not an elision of the
-	// spin loop: delivery pays the full post-visibility ring read
-	// (slightly later than a spin poll already in flight), and the
-	// spin loop's bus contention disappears — so latency answers shift
-	// by a few tens of ns against the paper's polling mode. Off by
-	// default for fidelity; simulations that poll-wait for long
-	// stretches run several times faster with it on.
+	// Doorbell replaces the receive spin loop — back-to-back uncached
+	// DRAM reads, the paper's mode, with its phase alignment and the
+	// "additional processor-memory bus overhead when polling" it
+	// concedes (§VI) faithfully simulated — with a parked receiver the
+	// northbridge wakes inside the store-visibility event when a write
+	// into the ring lands in DRAM, and lets a ring-full sender park on
+	// its flow-control page the same way. An idle endpoint then costs
+	// no events and no memory-bus traffic. This is a deliberate model
+	// change, not an elision of the spin loop: delivery pays the full
+	// post-visibility ring read (slightly later than a spin poll
+	// already in flight), and the spin loop's bus contention disappears
+	// — so latency answers shift by a few tens of ns against the
+	// paper's polling mode. Off by default for fidelity; simulations
+	// that poll-wait for long stretches run several times faster with
+	// it on.
 	Doorbell bool
 
 	// Reliable turns on end-to-end delivery over a fabric that can lose

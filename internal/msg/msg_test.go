@@ -573,17 +573,17 @@ func TestIndependentDuplexChannels(t *testing.T) {
 	}
 }
 
-// Doorbell mode (opt-in) beats interval polling on both axes: an idle
+// Doorbell mode (opt-in) against the paper's spin polling: an idle
 // receiver issues (almost) no loads because it parks on the NB's write
-// watch instead of spinning, and detection latency is at least as good
-// because the wake rides the store's own visibility event instead of
-// waiting out a poll gap.
-func TestDoorbellBeatsIntervalPolling(t *testing.T) {
-	measure := func(interval sim.Time) (lat sim.Time, loads uint64) {
+// watch instead of spinning, but it detects a message no earlier than a
+// spin loop does — the wake pays the full ring read after the store is
+// visible, while a spin poll may already be in flight (the model change
+// Params.Doorbell documents).
+func TestDoorbellVersusSpinPolling(t *testing.T) {
+	measure := func(doorbell bool) (lat sim.Time, loads uint64) {
 		c, os := rig(t, 2)
 		par := DefaultParams()
-		par.PollInterval = interval
-		par.Doorbell = interval == 0
+		par.Doorbell = doorbell
 		s, r, err := Open(os, 0, 1, par)
 		if err != nil {
 			t.Fatal(err)
@@ -594,7 +594,7 @@ func TestDoorbellBeatsIntervalPolling(t *testing.T) {
 				detect = c.Engine().Now()
 			}
 		})
-		// Let the receiver spin idle for a while before the send.
+		// Let the receiver wait idle for a while before the send.
 		c.RunFor(20 * sim.Microsecond)
 		loadsBefore := receiverCore(c, os).Counters().Loads
 		start := c.Engine().Now()
@@ -605,19 +605,20 @@ func TestDoorbellBeatsIntervalPolling(t *testing.T) {
 		}
 		return detect - start, loadsBefore
 	}
-	bellLat, bellLoads := measure(0)
-	slowLat, slowLoads := measure(2 * sim.Microsecond)
-	if slowLat <= bellLat {
-		t.Errorf("interval polling latency %v not above doorbell %v", slowLat, bellLat)
+	bellLat, bellLoads := measure(true)
+	spinLat, spinLoads := measure(false)
+	if bellLat < spinLat {
+		t.Errorf("doorbell detected at %v, before spin polling at %v", bellLat, spinLat)
 	}
 	// 20µs of idle doorbell waiting costs at most a handful of loads
-	// (the initial peek), while interval polling keeps issuing them.
+	// (the initial peek), while spin polling keeps issuing them.
 	if bellLoads > 3 {
 		t.Errorf("doorbell idle loads = %d, want <= 3 (parked receiver must not poll)", bellLoads)
 	}
-	if slowLoads <= bellLoads {
-		t.Errorf("interval idle loads %d not above doorbell %d", slowLoads, bellLoads)
+	if spinLoads <= bellLoads {
+		t.Errorf("spin-polling idle loads %d not above doorbell %d", spinLoads, bellLoads)
 	}
+	t.Logf("detect: spin %v, doorbell %v; idle loads: spin %d, doorbell %d", spinLat, bellLat, spinLoads, bellLoads)
 }
 
 // receiverCore digs out node 1's core for counter inspection.

@@ -79,7 +79,6 @@ type Counters struct {
 	PktsForwarded   uint64
 	BridgedPackets  uint64 // crossed the coherent/non-coherent IO bridge
 	Broadcasts      uint64
-	ProbesIssued    uint64
 }
 
 // counters is the live, race-safe backing store for Counters. The
@@ -98,17 +97,6 @@ type counters struct {
 	pktsForwarded   atomic.Uint64
 	bridgedPackets  atomic.Uint64
 	broadcasts      atomic.Uint64
-	probesIssued    atomic.Uint64
-}
-
-// CoherencyHook lets a coherence-protocol model observe memory traffic
-// at the point the real fabric would issue probes. The hook returns the
-// number of probes it put on the wire so the northbridge can count them.
-type CoherencyHook interface {
-	// OnLocalAccess fires when the local memory controller serves an
-	// access. write=true for stores. fromIOLink=true when the request
-	// arrived over a non-coherent link through the IO bridge.
-	OnLocalAccess(addr uint64, n int, write, fromIOLink bool) (probes int)
 }
 
 // Northbridge is one Opteron node's routing and memory complex.
@@ -128,11 +116,8 @@ type Northbridge struct {
 	match *MatchTable
 	cnt   counters
 
-	coherency   CoherencyHook
-	onWrite     func(addr uint64, n int) // local-DRAM store visibility hook
-	watches     []writeWatch             // doorbell ranges (see WatchWrites)
-	onBroadcast func(p *ht.Packet)       // delivered broadcast (interrupts)
-	log         func(string)
+	watches     []writeWatch       // store-visibility ranges (see WatchWrites)
+	onBroadcast func(p *ht.Packet) // delivered broadcast (interrupts)
 	tracer      trace.Tracer
 	traceID     int
 	prof        *prof.NodeProf
@@ -193,7 +178,6 @@ type nbRec struct {
 	pkt     *ht.Packet
 	done    func()
 	from    int
-	fromIO  bool
 	bridged bool // IO-bridge delay pre-paid in the dispatch event time
 	addr    uint64
 	nBytes  int
@@ -340,7 +324,6 @@ func (n *Northbridge) Counters() Counters {
 		PktsForwarded:   n.cnt.pktsForwarded.Load(),
 		BridgedPackets:  n.cnt.bridgedPackets.Load(),
 		Broadcasts:      n.cnt.broadcasts.Load(),
-		ProbesIssued:    n.cnt.probesIssued.Load(),
 	}
 }
 
@@ -348,31 +331,24 @@ func (n *Northbridge) Counters() Counters {
 func (n *Northbridge) MemController() *MemoryController { return n.mc }
 
 // MatchTable returns the response-matching table (tests and the
-// coherency model inspect it).
+// cluster's quiescence check inspect it).
 func (n *Northbridge) MatchTable() *MatchTable { return n.match }
 
-// SetCoherencyHook installs the coherence-protocol observer.
-func (n *Northbridge) SetCoherencyHook(h CoherencyHook) { n.coherency = h }
-
-// SetWriteHook installs a callback fired when a store becomes visible in
-// local DRAM. The CPU/polling model uses it to wake pollers.
-func (n *Northbridge) SetWriteHook(fn func(addr uint64, nBytes int)) { n.onWrite = fn }
-
-// writeWatch is one registered doorbell range: fn fires whenever a
-// store overlapping [lo, hi) (global physical addresses) becomes
-// visible in this node's DRAM. A nil fn marks a free slot.
+// writeWatch is one registered store-visibility range: fn fires
+// whenever a store overlapping [lo, hi) (global physical addresses)
+// becomes visible in this node's DRAM. A nil fn marks a free slot.
 type writeWatch struct {
 	lo, hi uint64
-	fn     func()
+	fn     func(addr uint64, nBytes int)
 }
 
-// WatchWrites registers a doorbell on [lo, hi): fn fires, inside the
-// store's visibility event, every time a write overlapping the range
-// lands in local DRAM. Unlike the single write hook (SetWriteHook),
-// watches are a registry — one per message-channel ring — and carry no
-// address payload: a doorbell only says "look at your ring". It
+// WatchWrites registers fn on [lo, hi): it fires, inside the store's
+// visibility event, with the store's address and size every time a
+// write overlapping the range lands in local DRAM. This is the
+// northbridge's one store-visibility hook: message channels watch their
+// rings (a doorbell), experiments watch [0, ^0) to time arrivals. It
 // returns an id for Unwatch.
-func (n *Northbridge) WatchWrites(lo, hi uint64, fn func()) int {
+func (n *Northbridge) WatchWrites(lo, hi uint64, fn func(addr uint64, nBytes int)) int {
 	for i := range n.watches {
 		if n.watches[i].fn == nil {
 			n.watches[i] = writeWatch{lo: lo, hi: hi, fn: fn}
@@ -383,21 +359,21 @@ func (n *Northbridge) WatchWrites(lo, hi uint64, fn func()) int {
 	return len(n.watches) - 1
 }
 
-// Unwatch removes a doorbell registered with WatchWrites.
+// Unwatch removes a watch registered with WatchWrites; its slot is
+// reused by the next WatchWrites.
 func (n *Northbridge) Unwatch(id int) {
 	if id >= 0 && id < len(n.watches) {
 		n.watches[id] = writeWatch{}
 	}
 }
 
-// notifyWatches rings every doorbell whose range a visible store
-// touches.
+// notifyWatches fires every watch whose range a visible store touches.
 func (n *Northbridge) notifyWatches(addr uint64, nBytes int) {
 	end := addr + uint64(nBytes)
 	for i := range n.watches {
 		w := &n.watches[i]
 		if w.fn != nil && addr < w.hi && end > w.lo {
-			w.fn()
+			w.fn(addr, nBytes)
 		}
 	}
 }
@@ -405,9 +381,6 @@ func (n *Northbridge) notifyWatches(addr uint64, nBytes int) {
 // SetBroadcastHook installs the local broadcast consumer (the kernel's
 // interrupt entry point).
 func (n *Northbridge) SetBroadcastHook(fn func(*ht.Packet)) { n.onBroadcast = fn }
-
-// SetLog installs a diagnostic logger.
-func (n *Northbridge) SetLog(fn func(string)) { n.log = fn }
 
 // SetTracer installs the cluster-wide observability tracer, identifying
 // this northbridge as Node=id in emitted events. Nil disables tracing;
@@ -430,12 +403,6 @@ func (n *Northbridge) SetProfiler(np *prof.NodeProf) {
 		// Memory-controller fast path: an uncontended 64-byte access.
 		n.mc.profD = n.mc.xferTime(64) + n.mc.par.AccessLatency
 		np.SetConst(prof.NodeMemService, n.mc.profD)
-	}
-}
-
-func (n *Northbridge) logf(format string, args ...interface{}) {
-	if n.log != nil {
-		n.log(n.name + ": " + fmt.Sprintf(format, args...))
 	}
 }
 
@@ -618,7 +585,6 @@ func (n *Northbridge) handleRequest(fromLink int, pkt *ht.Packet, done func()) {
 				Node: n.traceID, Link: -1, Label: pkt.String(),
 			})
 		}
-		n.logf("master abort: %v", pkt)
 		pkt.Accept() // never hold a WC buffer hostage to a decode fault
 		if done != nil {
 			done()
@@ -646,7 +612,7 @@ func (n *Northbridge) deliverToDRAM(fromLink int, pkt *ht.Packet, done func(), p
 		}
 	}
 	rec := n.getRec()
-	rec.pkt, rec.done, rec.fromIO = pkt, done, fromIO
+	rec.pkt, rec.done = pkt, done
 	if fromIO && !prepaid {
 		n.eng.ScheduleAfter(n.par.IOBridgeLatency, n, sim.EventArg{Ptr: rec, I: nbOpDRAM})
 		return
@@ -660,12 +626,7 @@ func (n *Northbridge) deliverToDRAM(fromLink int, pkt *ht.Packet, done func(), p
 // so pooled requests are released here — their terminal point — while
 // the completion callbacks ride the record.
 func (n *Northbridge) dramAccess(rec *nbRec) {
-	pkt, done, fromIO := rec.pkt, rec.done, rec.fromIO
-	if n.coherency != nil {
-		n.cnt.probesIssued.Add(uint64(n.coherency.OnLocalAccess(
-			pkt.Addr, (int(pkt.Count)+1)*ht.DwordBytes,
-			pkt.Cmd.HasData(), fromIO)))
-	}
+	pkt, done := rec.pkt, rec.done
 	switch pkt.Cmd {
 	case ht.CmdWrPosted, ht.CmdCWrBlk:
 		// The link receive buffer recycles once the memory
@@ -697,7 +658,6 @@ func (n *Northbridge) dramAccess(rec *nbRec) {
 	default:
 		n.putRec(rec)
 		n.cnt.masterAborts.Add(1)
-		n.logf("unhandled request %v at DRAM", pkt)
 		if done != nil {
 			done()
 		}
@@ -711,26 +671,15 @@ func (n *Northbridge) writeVisible(rec *nbRec, err error) {
 	n.putRec(rec)
 	if err != nil {
 		n.cnt.masterAborts.Add(1)
-		n.logf("DRAM write fault at %#x: %v", addr, err)
-	} else {
-		if n.onWrite != nil {
-			n.onWrite(addr, nBytes)
-		}
-		if len(n.watches) > 0 {
-			n.notifyWatches(addr, nBytes)
-		}
+	} else if len(n.watches) > 0 {
+		n.notifyWatches(addr, nBytes)
 	}
 }
 
 // npWriteVisible completes a non-posted write: answer with TgtDone.
 func (n *Northbridge) npWriteVisible(rec *nbRec, err error) {
-	if err == nil {
-		if n.onWrite != nil {
-			n.onWrite(rec.addr, rec.nBytes)
-		}
-		if len(n.watches) > 0 {
-			n.notifyWatches(rec.addr, rec.nBytes)
-		}
+	if err == nil && len(n.watches) > 0 {
+		n.notifyWatches(rec.addr, rec.nBytes)
 	}
 	resp := n.pool.TgtDone(rec.tag)
 	resp.SrcNode = int(n.nodeID)
@@ -748,11 +697,10 @@ func (n *Northbridge) npWriteVisible(rec *nbRec, err error) {
 // escapes to whatever callback the matching table holds, so recycling
 // the packet detaches it (ownership travels on with the data).
 func (n *Northbridge) dramReadDone(rec *nbRec, data []byte, err error) {
-	addr, done := rec.addr, rec.done
+	done := rec.done
 	if err != nil {
 		n.putRec(rec)
 		n.cnt.masterAborts.Add(1)
-		n.logf("DRAM read fault at %#x: %v", addr, err)
 		if done != nil {
 			done()
 		}
@@ -778,9 +726,8 @@ func (n *Northbridge) dramReadDone(rec *nbRec, data []byte, err error) {
 // asymmetry is why TCCluster cannot carry reads (paper §IV.A).
 func (n *Northbridge) routeResponse(resp *ht.Packet) {
 	if uint8(resp.DstNode) == n.nodeID {
-		if err := n.match.Complete(resp); err != nil {
+		if n.match.Complete(resp) != nil {
 			n.cnt.orphanResponses.Add(1)
-			n.logf("%v", err)
 		}
 		// Terminal: the matching callback has consumed the response.
 		// Read responses adopted their payload, so recycling returns
@@ -848,7 +795,6 @@ func (n *Northbridge) forward(fromLink, idx int, pkt *ht.Packet, done func()) {
 	}
 	if idx < 0 || idx >= MaxLinks || n.links[idx] == nil {
 		n.cnt.deadLinkDrops.Add(1)
-		n.logf("drop %v: egress link %d not wired", pkt, idx)
 		if accept != nil {
 			accept()
 		}
@@ -856,7 +802,7 @@ func (n *Northbridge) forward(fromLink, idx int, pkt *ht.Packet, done func()) {
 		return
 	}
 	pkt.OnAccept = accept
-	if err := n.links[idx].Send(pkt); err != nil {
+	if n.links[idx].Send(pkt) != nil {
 		// A dead egress link master-aborts the packet: the posted store
 		// already completed at its source (the fabric is write-only, so
 		// nobody is waiting for a response), the bytes just never arrive.
@@ -868,7 +814,6 @@ func (n *Northbridge) forward(fromLink, idx int, pkt *ht.Packet, done func()) {
 				Node: n.traceID, Link: idx, Label: pkt.String(),
 			})
 		}
-		n.logf("drop %v: %v", pkt, err)
 		pkt.Accept()
 		n.recycle(pkt) // terminal: dropped
 	} else {

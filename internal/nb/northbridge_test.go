@@ -2,6 +2,7 @@ package nb
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -152,7 +153,7 @@ func TestRemoteWriteBothDirections(t *testing.T) {
 func TestRemoteWriteOneWayLatency(t *testing.T) {
 	p := newTCPair(t)
 	var landed sim.Time
-	p.b.SetWriteHook(func(addr uint64, n int) { landed = p.eng.Now() })
+	p.b.WatchWrites(0, ^uint64(0), func(uint64, int) { landed = p.eng.Now() })
 	start := p.eng.Now()
 	p.a.CPUWrite(nodeMem+0x40, make([]byte, 64), true, func(error) {})
 	p.eng.Run()
@@ -302,8 +303,8 @@ func TestMultiHopForwardingAndLatencyAdder(t *testing.T) {
 	must(t, nodes[2].SetMMIORange(0, MMIORange{Base: 0, Limit: base(2) - 1, DstNode: 0, DstLink: 0, RE: true, WE: true}))
 
 	var landB, landC sim.Time
-	nodes[1].SetWriteHook(func(uint64, int) { landB = eng.Now() })
-	nodes[2].SetWriteHook(func(uint64, int) { landC = eng.Now() })
+	nodes[1].WatchWrites(0, ^uint64(0), func(uint64, int) { landB = eng.Now() })
+	nodes[2].WatchWrites(0, ^uint64(0), func(uint64, int) { landC = eng.Now() })
 
 	start := eng.Now()
 	nodes[0].CPUWrite(base(1)+0x40, make([]byte, 64), true, func(error) {})
@@ -446,30 +447,59 @@ func TestDecodeAddressTotalityProperty(t *testing.T) {
 	}
 }
 
-// stubHook counts probe requests from the northbridge's coherency hook.
-type stubHook struct{ calls, writes int }
-
-func (s *stubHook) OnLocalAccess(addr uint64, n int, write, fromIO bool) int {
-	s.calls++
-	if write && fromIO {
-		s.writes++
-		return 3 // pretend three probes went out
-	}
-	return 0
-}
-
-func TestCoherencyHookInvokedAndCounted(t *testing.T) {
+// WatchWrites is the northbridge's one store-visibility hook: every
+// watch whose [lo, hi) range a visible store overlaps fires with the
+// store's address and size, on posted and non-posted writes alike.
+func TestWatchWritesRanges(t *testing.T) {
 	p := newTCPair(t)
-	hook := &stubHook{}
-	p.b.SetCoherencyHook(hook)
-	p.b.SetLog(func(string) {}) // exercise the logger plumbing
-	p.a.CPUWrite(nodeMem+0x40, []byte{1, 2, 3, 4}, true, func(error) {})
-	p.eng.Run()
-	if hook.writes != 1 {
-		t.Errorf("hook writes = %d, want 1", hook.writes)
+	type hit struct {
+		addr uint64
+		n    int
 	}
-	if p.b.Counters().ProbesIssued != 3 {
-		t.Errorf("probes issued = %d, want 3", p.b.Counters().ProbesIssued)
+	record := func(hits *[]hit) func(uint64, int) {
+		return func(addr uint64, n int) { *hits = append(*hits, hit{addr, n}) }
+	}
+	store := func(off uint64, n int, posted bool) {
+		p.a.CPUWrite(nodeMem+off, make([]byte, n), posted, func(error) {})
+		p.eng.Run()
+	}
+	var low, high, all []hit
+	p.b.WatchWrites(nodeMem, nodeMem+0x100, record(&low))
+	p.b.WatchWrites(nodeMem+0x1000, nodeMem+0x1100, record(&high))
+	allID := p.b.WatchWrites(0, ^uint64(0), record(&all))
+
+	store(0x40, 64, true)   // posted, inside low (and all)
+	store(0x1080, 4, false) // non-posted, inside high; its TgtDone strands
+	store(0xF8, 16, true)   // straddles low's upper bound
+	store(0xFC0, 64, true)  // ends exactly at high's lower bound
+	p.b.Unwatch(allID)
+	store(0x800, 64, true) // outside every remaining range
+
+	wantLow := []hit{{nodeMem + 0x40, 64}, {nodeMem + 0xF8, 16}}
+	wantHigh := []hit{{nodeMem + 0x1080, 4}}
+	wantAll := []hit{{nodeMem + 0x40, 64}, {nodeMem + 0x1080, 4}, {nodeMem + 0xF8, 16}, {nodeMem + 0xFC0, 64}}
+	if !reflect.DeepEqual(low, wantLow) {
+		t.Errorf("low watch saw %v, want %v", low, wantLow)
+	}
+	if !reflect.DeepEqual(high, wantHigh) {
+		t.Errorf("high watch saw %v, want %v", high, wantHigh)
+	}
+	if !reflect.DeepEqual(all, wantAll) {
+		t.Errorf("catch-all watch saw %v, want %v (nothing after Unwatch)", all, wantAll)
+	}
+
+	// The freed slot is reused by the next registration, and only the
+	// new callback fires from it.
+	var reused []hit
+	if id := p.b.WatchWrites(nodeMem+0x800, nodeMem+0x840, record(&reused)); id != allID {
+		t.Errorf("WatchWrites after Unwatch took slot %d, want freed slot %d", id, allID)
+	}
+	store(0x800, 8, true)
+	if want := []hit{{nodeMem + 0x800, 8}}; !reflect.DeepEqual(reused, want) {
+		t.Errorf("reused slot saw %v, want %v", reused, want)
+	}
+	if len(all) != len(wantAll) {
+		t.Errorf("unwatched callback fired %d more times", len(all)-len(wantAll))
 	}
 }
 

@@ -104,7 +104,7 @@ func (r Result) String() string {
 // Run drives flowsPerNode flows of bytesPerFlow raw posted-store bytes
 // from every node per the pattern and measures the time until the last
 // byte lands in destination DRAM. Flows from one node issue through its
-// cores round-robin; delivered bytes are counted by write hooks at
+// cores round-robin; delivered bytes are counted by write watches at
 // every socket.
 func Run(c *core.Cluster, pat Pattern, flowsPerNode, bytesPerFlow int) (Result, error) {
 	n := c.N()
@@ -129,15 +129,16 @@ func Run(c *core.Cluster, pat Pattern, flowsPerNode, bytesPerFlow int) (Result, 
 	total := len(flows) * bytesPerFlow
 
 	// Count landed bytes at every socket of every node. On parallel
-	// clusters the hooks fire concurrently from partition workers, so the
-	// totals are atomics and each hook reads its own node's clock.
+	// clusters the watches fire concurrently from partition workers, so
+	// the totals are atomics and each watch reads its own node's clock.
 	var landed atomic.Int64
 	var lastLand atomic.Int64
+	var unwatch []func()
 	for _, node := range c.Nodes() {
 		node := node
-		m := node.Machine()
-		for s := range m.Procs {
-			m.Procs[s].NB.SetWriteHook(func(_ uint64, nBytes int) {
+		for _, p := range node.Machine().Procs {
+			nbr := p.NB
+			id := nbr.WatchWrites(0, ^uint64(0), func(_ uint64, nBytes int) {
 				landed.Add(int64(nBytes))
 				now := int64(node.Now())
 				for {
@@ -147,14 +148,12 @@ func Run(c *core.Cluster, pat Pattern, flowsPerNode, bytesPerFlow int) (Result, 
 					}
 				}
 			})
+			unwatch = append(unwatch, func() { nbr.Unwatch(id) })
 		}
 	}
 	defer func() {
-		for _, node := range c.Nodes() {
-			m := node.Machine()
-			for s := range m.Procs {
-				m.Procs[s].NB.SetWriteHook(nil)
-			}
+		for _, un := range unwatch {
+			un()
 		}
 	}()
 
