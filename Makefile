@@ -34,8 +34,9 @@ test:
 race:
 	GOMAXPROCS=2 $(GO) test -race ./...
 
-# Smoke-run every benchmark once: catches bit-rot in the harness without
-# waiting for statistically meaningful timings.
+# Smoke-run the package benchmarks (internal/sim, internal/ht) once:
+# catches bit-rot in them without waiting for statistically meaningful
+# timings.
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
@@ -46,7 +47,7 @@ bench:
 # Span emission is recorded, not gated. Exits nonzero when either gate
 # fails.
 bench-overhead:
-	$(GO) run ./cmd/tccbench -bench overhead -out BENCH_overhead.json
+	$(GO) run ./cmd/tccoverhead -out BENCH_overhead.json
 
 # Repository benchmark (bench/, a nested module that the root
 # `go test ./...` never reaches): run its tests, plain and under -race at

@@ -3,7 +3,8 @@
 // multi-hop latency measurement, the interconnect baseline comparison,
 // the coherency-scaling argument, the write-combining ablation, the
 // link-speed sweep, endpoint scaling, the MPI/PGAS middleware timings
-// and the address-map scaling table.
+// and the address-map scaling table — plus the extensions E12-E20, the
+// last of them the message-library ping-pong (-exp msglib).
 //
 // Usage:
 //
@@ -28,7 +29,7 @@ func main() {
 	fig := flag.Int("fig", 0, "figure to regenerate: 6 or 7 (0 = per -exp)")
 	chart := flag.Bool("chart", false, "render figures as ASCII bar charts")
 	exp := flag.String("exp", "all",
-		"experiment: fig6|fig7|hops|baseline|coherency|wc|linkspeed|endpoints|mpi|pgas|addrmap|faults|traffic|jitter|breakdown|boot|all")
+		"experiment: fig6|fig7|hops|baseline|coherency|wc|linkspeed|endpoints|mpi|pgas|addrmap|faults|traffic|jitter|breakdown|boot|msglib|all")
 	csv := flag.Bool("csv", false, "emit figures as CSV instead of tables")
 	par := scenario.AddParallelFlag(flag.CommandLine)
 	flag.Parse()
@@ -167,6 +168,12 @@ func main() {
 		s, err := experiments.BootTrace()
 		check(err)
 		fmt.Println(s)
+	}
+	if run("msglib") {
+		ran = true
+		t, err := experiments.MsgLibLatency()
+		check(err)
+		emitTable(t)
 	}
 	if !ran {
 		fmt.Fprintf(os.Stderr, "tccfig: unknown experiment %q\n", *exp)

@@ -5,19 +5,6 @@ import (
 	"testing"
 )
 
-// TestLatencySmallMessagesMatchQuickstart pins the 8 B ping-pong row to
-// the quickstart example's half RTT: both drive the same message-library
-// round trip between chain neighbours in virtual time.
-func TestLatencySmallMessagesMatchQuickstart(t *testing.T) {
-	tab := runLatency(64)
-	if len(tab.Rows) != 4 {
-		t.Fatalf("latency -max 64: %d rows, want 4 (8B..64B)", len(tab.Rows))
-	}
-	if got := tab.Rows[0]; got[0] != "8B" || got[1] != "214" {
-		t.Fatalf("8 B row = %v, want [8B 214]", got)
-	}
-}
-
 // TestOverheadGate checks the gate as a pure function of the measured
 // overheads: the ceiling is inclusive at 5%, each gated configuration
 // is judged on its own, and an ungated configuration never fails it.

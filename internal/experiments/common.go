@@ -1,8 +1,9 @@
 // Package experiments contains the reproduction harness: one function
-// per figure/table of the paper's evaluation (DESIGN.md's experiment
-// index E1-E11). cmd/tccfig prints their output; the repository's
-// benchmarks wrap them; EXPERIMENTS.md records their results against
-// the paper's numbers.
+// per figure/table of the paper's evaluation and of its extensions
+// (DESIGN.md's experiment index E1-E20). cmd/tccfig prints their
+// output; testdata/golden.txt pins every answer; EXPERIMENTS.md records
+// the results against the paper's numbers, and a test holds its tables
+// to the golden file.
 package experiments
 
 import (

@@ -57,6 +57,7 @@ var goldenRuns = []struct {
 		w.WriteString(s + "\n")
 		return err
 	}},
+	{"msglib", func(w *strings.Builder) error { return table(w)(MsgLibLatency()) }},
 }
 
 func fullFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
@@ -147,11 +148,10 @@ func TestGoldenAnswers(t *testing.T) {
 	}
 }
 
-// TestGoldenAnswersParallel reruns the experiments that time stores with
-// northbridge write watches on two partition workers, where the watch
-// callbacks fire on partition goroutines, and checks each against its
-// serial section of the golden file.
-func TestGoldenAnswersParallel(t *testing.T) {
+// goldenSections reads the golden file into its sections, keyed by the
+// name on each "## " line, each holding the lines that follow it.
+func goldenSections(t *testing.T) map[string]string {
+	t.Helper()
 	want, err := os.ReadFile(goldenPath)
 	if err != nil {
 		t.Fatal(err)
@@ -165,6 +165,15 @@ func TestGoldenAnswersParallel(t *testing.T) {
 		}
 		sections[name] += line
 	}
+	return sections
+}
+
+// TestGoldenAnswersParallel reruns the experiments that time stores with
+// northbridge write watches on two partition workers, where the watch
+// callbacks fire on partition goroutines, and checks each against its
+// serial section of the golden file.
+func TestGoldenAnswersParallel(t *testing.T) {
+	sections := goldenSections(t)
 	SetParallel(2)
 	defer SetParallel(0)
 	for _, g := range goldenRuns {

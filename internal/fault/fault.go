@@ -182,6 +182,12 @@ func (a Action) validate() error {
 	if a.at < 0 {
 		return fmt.Errorf("fault: %v: negative start time: %w", a, errs.ErrBadConfig)
 	}
+	if a.dur < 0 {
+		return fmt.Errorf("fault: %v: negative duration %v: %w", a, a.dur, errs.ErrBadConfig)
+	}
+	if a.penalty < 0 {
+		return fmt.Errorf("fault: %v: negative retry penalty %v: %w", a, a.penalty, errs.ErrBadConfig)
+	}
 	switch a.kind {
 	case KindDegrade:
 		if a.rate <= 0 || a.rate >= 1 {

@@ -179,9 +179,9 @@ type PortStats struct {
 }
 
 // portCounters is the live, race-safe backing store for PortStats. The
-// simulation mutates these from engine callbacks while the live (shm)
-// backend lets application goroutines read Stats() mid-run; atomics keep
-// that tear-free without a lock on the transmit path.
+// simulation mutates these from engine callbacks while the monitor's
+// HTTP handlers read Stats() mid-run; atomics keep that tear-free
+// without a lock on the transmit path.
 type portCounters struct {
 	pktsSent     atomic.Uint64
 	bytesSent    atomic.Uint64

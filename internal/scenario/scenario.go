@@ -459,6 +459,12 @@ func (f FaultSpec) validate(s *Scenario) error {
 	if f.AtNS < 0 {
 		return badf("%s: fault %q at negative time %d", s.Name, f.Kind, f.AtNS)
 	}
+	if f.ForNS < 0 {
+		return badf("%s: fault %q negative duration for_ns %d", s.Name, f.Kind, f.ForNS)
+	}
+	if f.PenaltyNS < 0 {
+		return badf("%s: fault %q negative penalty_ns %d", s.Name, f.Kind, f.PenaltyNS)
+	}
 	switch f.Kind {
 	case "link-degrade":
 		if f.Rate <= 0 || f.Rate >= 1 {

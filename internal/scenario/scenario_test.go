@@ -107,6 +107,18 @@ func TestParseRejects(t *testing.T) {
 		{"degrade rate out of range",
 			`{"version":1,"name":"x","topology":{"kind":"chain","nodes":2},"workloads":[{"kind":"pingpong"}],"faults":[{"kind":"link-degrade","link":0,"at_ns":1,"rate":1.5}]}`,
 			"rate"},
+		{"negative link-down duration",
+			`{"version":1,"name":"x","topology":{"kind":"chain","nodes":2},"workloads":[{"kind":"pingpong"}],"faults":[{"kind":"link-down","link":0,"at_ns":1,"for_ns":-5}]}`,
+			"for_ns -5"},
+		{"negative node-crash duration",
+			`{"version":1,"name":"x","topology":{"kind":"chain","nodes":2},"workloads":[{"kind":"pingpong"}],"faults":[{"kind":"node-crash","node":1,"at_ns":1,"for_ns":-5}]}`,
+			"for_ns -5"},
+		{"negative degrade duration",
+			`{"version":1,"name":"x","topology":{"kind":"chain","nodes":2},"workloads":[{"kind":"pingpong"}],"faults":[{"kind":"link-degrade","link":0,"at_ns":1,"for_ns":-5,"rate":0.1}]}`,
+			"for_ns -5"},
+		{"negative degrade penalty",
+			`{"version":1,"name":"x","topology":{"kind":"chain","nodes":2},"workloads":[{"kind":"pingpong"}],"faults":[{"kind":"link-degrade","link":0,"at_ns":1,"rate":0.1,"penalty_ns":-1}]}`,
+			"penalty_ns -1"},
 		{"unknown fault kind",
 			`{"version":1,"name":"x","topology":{"kind":"chain","nodes":2},"workloads":[{"kind":"pingpong"}],"faults":[{"kind":"gremlin","at_ns":1}]}`,
 			"gremlin"},

@@ -18,9 +18,7 @@
 // control and training, the register-accurate northbridge address maps,
 // write-combining CPU store paths, the coreboot-style boot sequence, the
 // custom-kernel driver model, and the polling message library — plus the
-// MPI and PGAS middleware the paper names as next steps, and a live
-// goroutine backend (LiveChannel) implementing the same ring protocol on
-// real memory for wall-clock benchmarks.
+// MPI and PGAS middleware the paper names as next steps.
 //
 // Quick start:
 //
@@ -49,7 +47,6 @@ import (
 	"repro/internal/pgas"
 	"repro/internal/prof"
 	"repro/internal/serve"
-	"repro/internal/shm"
 	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/trace"
@@ -111,13 +108,6 @@ type (
 	ServeReport = serve.Report
 	// ServeWindow is one goodput accounting window of a ServeReport.
 	ServeWindow = serve.Window
-
-	// LiveParams configure a live (goroutine) channel.
-	LiveParams = shm.Params
-	// LiveSender is the producing end of a live channel.
-	LiveSender = shm.Sender
-	// LiveReceiver is the consuming end of a live channel.
-	LiveReceiver = shm.Receiver
 
 	// Tracer consumes observability events from every layer of the
 	// cluster. Install one with WithTracer; nil (the default) disables
@@ -305,9 +295,6 @@ func ValidateServeConfig(cfg ServeConfig, nodes int) (ServeConfig, error) {
 	err := cfg.Validate(nodes)
 	return cfg, err
 }
-
-// DefaultLiveParams returns the live backend's defaults.
-func DefaultLiveParams() LiveParams { return shm.DefaultParams() }
 
 // Reduction operators for MPI collectives.
 var (
@@ -619,12 +606,6 @@ func (c *Cluster) NewService(cfg ServeConfig) (*Service, error) {
 		c.mon.AddSource(s)
 	}
 	return s, nil
-}
-
-// NewLiveChannel creates a real-goroutine channel implementing the same
-// ring protocol on real memory (wall-clock benchmarking backend).
-func NewLiveChannel(par LiveParams) (*LiveSender, *LiveReceiver, error) {
-	return shm.NewChannel(par)
 }
 
 // Now returns the cluster's virtual time. On parallel clusters this is

@@ -1,7 +1,6 @@
 package tccluster_test
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 
@@ -92,29 +91,6 @@ func TestPublicAPIMPIAndPGAS(t *testing.T) {
 	c.Run()
 	if len(got) != 8 || got[0] != 1 {
 		t.Errorf("pgas got %v", got)
-	}
-}
-
-func TestLiveChannel(t *testing.T) {
-	s, r, err := tccluster.NewLiveChannel(tccluster.DefaultLiveParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := bytes.Repeat([]byte{7}, 100)
-	done := make(chan []byte, 1)
-	go func() {
-		buf := make([]byte, s.MaxMessage())
-		n, err := r.Recv(buf)
-		if err != nil {
-			t.Errorf("recv: %v", err)
-		}
-		done <- append([]byte(nil), buf[:n]...)
-	}()
-	if err := s.Send(want); err != nil {
-		t.Fatal(err)
-	}
-	if got := <-done; !bytes.Equal(got, want) {
-		t.Error("live channel corrupted payload")
 	}
 }
 
