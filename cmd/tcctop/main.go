@@ -153,7 +153,7 @@ func renderLinks(b *strings.Builder, st *monitor.Status) {
 	}
 	w := st.Window
 	durPS := w.EndPS - w.StartPS
-	fmt.Fprintf(b, "LINK  STATE         UTIL              TX/win  STALL/win  ABORT/win  FLAPS  P99 LAT\n")
+	fmt.Fprintf(b, "LINK  STATE         UTIL              TX/win  STALL/win  ABORT/win  FLAPS  P99 QUEUE\n")
 	for _, l := range w.Links {
 		tx := counterTotal(w.Counters, "port.pkts_sent", onLink(l.ID))
 		bytes := counterTotal(w.Counters, "port.bytes_sent", onLink(l.ID))
@@ -167,9 +167,9 @@ func renderLinks(b *strings.Builder, st *monitor.Status) {
 			// direction, so normalize against both.
 			util = float64(bytes) / (l.Bandwidth * 2 * secs)
 		}
-		p99 := "-"
+		p99 := "-" // tx-queue wait, from the profiler (WithProfile)
 		for _, h := range st.Histograms {
-			if h.Name == "link.packet_latency_ps" && h.Link == l.ID && h.Count > 0 {
+			if h.Name == "prof.link.queue_ps" && h.Link == l.ID && h.Count > 0 {
 				p99 = fmt.Sprintf("%.0fns", h.P99/1000)
 			}
 		}
@@ -196,15 +196,15 @@ func renderNodes(b *strings.Builder, st *monitor.Status) {
 			counterTotal(st.Counters, "nb.pkts_to_dram", onNode(n)),
 			counterTotal(st.Counters, "nb.master_aborts", onNode(n)),
 			counterTotal(st.Counters, "nb.dead_link_drops", onNode(n)),
-			counterTotal(st.Counters, "chan.ring_full", onNode(n)))
+			counterTotal(st.Counters, "msg.ring_full", onNode(n)))
 	}
 	fmt.Fprintln(b)
 }
 
 func renderMPI(b *strings.Builder, st *monitor.Status) {
-	enter := counterTotal(st.Counters, "events.barrier-enter", nil)
-	exit := counterTotal(st.Counters, "events.barrier-exit", nil)
-	rndv := counterTotal(st.Counters, "events.rendezvous-start", nil)
+	enter := counterTotal(st.Counters, "mpi.barrier_enter", nil)
+	exit := counterTotal(st.Counters, "mpi.barrier_exit", nil)
+	rndv := counterTotal(st.Counters, "mpi.rendezvous_start", nil)
 	if enter == 0 && rndv == 0 {
 		return
 	}

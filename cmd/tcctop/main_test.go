@@ -21,10 +21,13 @@ func testStatus() *monitor.Status {
 			{Name: "nb.pkts_to_dram", Node: 1, Value: 300},
 			{Name: "nb.master_aborts", Node: 1, Value: 2},
 			{Name: "nb.dead_link_drops", Node: 1, Value: 7},
-			{Name: "chan.ring_full", Node: 1, Chan: 0, Value: 4},
-			{Name: "events.barrier-enter", Value: 6},
-			{Name: "events.barrier-exit", Value: 4},
-			{Name: "events.rendezvous-start", Value: 3},
+			{Name: "msg.ring_full", Node: 1, Value: 4},
+			{Name: "link.state_changes", Link: 0, Value: 5},
+			{Name: "mpi.barrier_enter", Node: 0, Value: 3},
+			{Name: "mpi.barrier_enter", Node: 1, Value: 3},
+			{Name: "mpi.barrier_exit", Node: 0, Value: 2},
+			{Name: "mpi.barrier_exit", Node: 1, Value: 2},
+			{Name: "mpi.rendezvous_start", Node: 1, Value: 3},
 			{Name: "serve.requests", Value: 24000},
 			{Name: "serve.completed", Value: 23940},
 			{Name: "serve.in_slo", Value: 23400},
@@ -33,7 +36,7 @@ func testStatus() *monitor.Status {
 			{Name: "serve.dead_marks", Value: 3},
 		},
 		Histograms: []monitor.HistJSON{
-			{Name: "link.packet_latency_ps", Link: 0, Count: 100, P99: 250_000},
+			{Name: "prof.link.queue_ps", Link: 0, Count: 100, P99: 250_000},
 			{Name: "serve.latency_ps", Count: 23940,
 				P50: 850_000, P99: 2_100_000, P999: 2_600_000},
 		},
@@ -67,9 +70,10 @@ func TestRenderFullFrame(t *testing.T) {
 		"samples 20",
 		"LINK  STATE",
 		"active",
-		"250ns", // p99 of 250000 ps
+		"250ns",          // p99 of 250000 ps
+		"      5  250ns", // five flaps on link 0
 		"NODE  FWD",
-		"512",
+		"1     512      300      2       7         4\n", // ring-full 4
 		"MPI   phase",
 		"barrier (2 ranks inside)",
 		"rendezvous 3",

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/cpu"
 	"repro/internal/errs"
@@ -56,6 +57,8 @@ type Node struct {
 	idx     int
 	cluster *Cluster
 	machine *firmware.Machine
+
+	ringFull atomic.Uint64 // msg.ring_full: see CountRingFull
 }
 
 // New builds and boots a cluster over the given topology. It returns an
@@ -382,12 +385,12 @@ func (c *Cluster) ExternalLinkEnds(id int) (a, b int) {
 // reach the tracer through this accessor.
 func (c *Cluster) Tracer() trace.Tracer { return c.cfg.Tracer }
 
-// Metrics assembles an on-demand snapshot of the cluster's counters:
-// per-port statistics of every external TCCluster link, per-socket
-// northbridge counters, and — when the tracer is a *trace.Collector —
-// the event-derived metrics (packet latency histograms, stall counts)
-// merged on top. It works with tracing disabled too; the hardware
-// counters are always live.
+// Metrics assembles an on-demand snapshot of the cluster's own
+// counters: per-port statistics of every external TCCluster link,
+// per-socket northbridge counters and per-node message-library
+// ring-full stalls. Every one is an atomic kept by the layer that
+// counts it, so the snapshot is the same with or without a tracer and
+// is safe to take while the simulation runs.
 func (c *Cluster) Metrics() trace.Snapshot {
 	s := trace.NewSnapshot()
 	for i, l := range c.extLinks {
@@ -428,9 +431,9 @@ func (c *Cluster) Metrics() trace.Snapshot {
 			put("nb.bridged_packets", cnt.BridgedPackets)
 			put("nb.broadcasts", cnt.Broadcasts)
 		}
-	}
-	if col, ok := c.cfg.Tracer.(*trace.Collector); ok && col != nil {
-		s.Merge(col.Metrics().Snapshot())
+		if v := node.ringFull.Load(); v != 0 {
+			s.Counters[trace.Key{Name: "msg.ring_full", Node: node.idx}] = v
+		}
 	}
 	return s
 }
@@ -570,6 +573,11 @@ func (c *Cluster) runActions(deadline sim.Time, bounded bool) {
 func (c *Cluster) GlobalBase(i int) uint64 { return uint64(i) * c.cfg.MemPerNode }
 
 // ---- Node --------------------------------------------------------------
+
+// CountRingFull counts one message-library sender on this node finding
+// its receive ring full (the msg.ring_full series). Only the node's own
+// partition calls it, so the counter has one writer.
+func (n *Node) CountRingFull() { n.ringFull.Add(1) }
 
 // Index returns this node's rank in address order.
 func (n *Node) Index() int { return n.idx }

@@ -3,6 +3,7 @@ package fault
 import (
 	"container/heap"
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/errs"
 	"repro/internal/ht"
@@ -91,6 +92,7 @@ type Injector struct {
 	pending opHeap
 	seq     int
 	stats   Stats
+	changes []atomic.Uint64 // per link: state transitions, for Metrics
 }
 
 // NewInjector validates and expands campaign against the cluster's
@@ -99,6 +101,7 @@ type Injector struct {
 // timeline), so a campaign written against t=0 still applies in order.
 func NewInjector(fab Fabric, campaign *Campaign) (*Injector, error) {
 	inj := &Injector{fab: fab, links: fab.ExternalLinks()}
+	inj.changes = make([]atomic.Uint64, len(inj.links))
 	floor := fab.Now() + 1
 	for _, a := range campaign.Actions() {
 		if err := a.validate(); err != nil {
@@ -204,6 +207,19 @@ func (inj *Injector) push(o op) {
 // Stats returns what the injector has applied so far.
 func (inj *Injector) Stats() Stats { return inj.stats }
 
+// Metrics returns link.state_changes per link (Key.Link): how many
+// health-state transitions the campaign has applied to it. It reads
+// atomics, so it is safe while the simulation runs.
+func (inj *Injector) Metrics() trace.Snapshot {
+	s := trace.NewSnapshot()
+	for id := range inj.changes {
+		if v := inj.changes[id].Load(); v != 0 {
+			s.Counters[trace.Key{Name: "link.state_changes", Link: id}] = v
+		}
+	}
+	return s
+}
+
 // Pending returns how many primitive ops remain on the timeline.
 func (inj *Injector) Pending() int { return len(inj.pending) }
 
@@ -227,8 +243,8 @@ func (inj *Injector) FireActions(now sim.Time) {
 	}
 }
 
-// apply executes one primitive op against its link and emits the
-// resulting state transition as a trace event.
+// apply executes one primitive op against its link, counts the
+// resulting state transition and emits it as a trace event.
 func (inj *Injector) apply(o op, now sim.Time) {
 	l := inj.links[o.link]
 	switch o.kind {
@@ -258,6 +274,7 @@ func (inj *Injector) apply(o op, now sim.Time) {
 		l.FinishRetrain(o.speed, o.width)
 		inj.stats.TrainsCompleted++
 	}
+	inj.changes[o.link].Add(1)
 	if tr := inj.fab.Tracer(); tr != nil {
 		tr.Emit(trace.Event{
 			At:    now,

@@ -13,10 +13,10 @@
 // watchdog evaluation — happens inside the simulation loop via
 // core.Cluster.SetSampleHook, so rules may reason about sim state with
 // no cross-thread coordination and alert timing is deterministic in
-// virtual time. The scrape path reads only atomically maintained
-// counters (Source.Metrics must be safe for concurrent use; the core
-// cluster's hardware counters are atomics) plus mutex-guarded copies
-// published by the sampler, so scraping never pauses the simulation.
+// virtual time. The scrape path reads the same Source the sampler does
+// (Source.Metrics must be safe for concurrent use; every counting layer
+// keeps atomics) plus mutex-guarded copies published by the sampler,
+// so scraping never pauses the simulation.
 package monitor
 
 import (
@@ -30,9 +30,10 @@ import (
 	"repro/internal/trace"
 )
 
-// Source is what the monitor observes. Metrics must be safe to call
-// concurrently with a running simulation (core.Cluster.Metrics is: its
-// hardware counters are atomics and the collector registry is locked).
+// Source is what the monitor observes: one snapshot that the sampled
+// windows (flight recorder, watchdog) and the scrape endpoints all
+// read. Metrics must be safe to call concurrently with a running
+// simulation; every counting layer keeps its series in atomics.
 type Source interface {
 	Metrics() trace.Snapshot
 }
@@ -59,7 +60,6 @@ type Monitor struct {
 	lastSample sim.Time
 	dumpErr    string
 	samples    atomic.Uint64
-	scrapeSrcs []Source
 
 	srv *httpServer
 }
@@ -113,9 +113,9 @@ func WithTracer(t trace.Tracer) Option {
 	return func(m *Monitor) { m.watchdog.SetTracer(t) }
 }
 
-// WithProfiler exposes a packet-lifecycle profiler over the /profile
-// endpoint and adds its phase and PDES series to /metrics and
-// /metrics.json. The profiler's histograms are atomics, so scraping
+// WithProfiler exposes a packet-lifecycle profiler's summary over the
+// /profile endpoint. Its phase and PDES series reach /metrics through
+// the Source. The profiler's histograms are atomics, so reading it
 // mid-run is safe and never perturbs the simulation.
 func WithProfiler(p *prof.Profiler) Option {
 	return func(m *Monitor) { m.profiler = p }
@@ -123,80 +123,6 @@ func WithProfiler(p *prof.Profiler) Option {
 
 // Profiler returns the attached profiler, nil when none was installed.
 func (m *Monitor) Profiler() *prof.Profiler { return m.profiler }
-
-// AddSource adds src's series to every /metrics and /metrics.json
-// snapshot; the sampled windows the watchdog and flight recorder see
-// stay the primary Source's alone. src.Metrics runs on HTTP goroutines
-// concurrently with the simulation, so it must read only atomics. A
-// serving service is deployed after the cluster (and so the monitor)
-// is built, which is why this is a method rather than an Option.
-func (m *Monitor) AddSource(src Source) {
-	m.mu.Lock()
-	m.scrapeSrcs = append(m.scrapeSrcs, src)
-	m.mu.Unlock()
-}
-
-// scrape assembles the snapshot /metrics and /metrics.json serve: the
-// primary Source, the profiler's series and every added Source.
-func (m *Monitor) scrape() trace.Snapshot {
-	s := m.src.Metrics()
-	addProfile(s, m.profiler)
-	m.mu.Lock()
-	srcs := m.scrapeSrcs
-	m.mu.Unlock()
-	for _, src := range srcs {
-		s.Merge(src.Metrics())
-	}
-	return s
-}
-
-// addProfile adds a profiler's series to s: one histogram per phase
-// and link or node, named prof.<phase>_ps, and the PDES accounting,
-// with the partition in Key.Node and the destination partition in
-// Key.Chan.
-func addProfile(s trace.Snapshot, p *prof.Profiler) {
-	if p == nil {
-		return
-	}
-	for i := 0; p.Link(i) != nil; i++ {
-		for ph := prof.LinkPhase(0); ph < prof.NumLinkPhases; ph++ {
-			if h := p.Link(i).Phase(ph); h.Count > 0 {
-				s.Histograms[trace.Key{Name: "prof." + ph.String() + "_ps", Link: i}] = h
-			}
-		}
-	}
-	for i := 0; p.Node(i) != nil; i++ {
-		for ph := prof.NodePhase(0); ph < prof.NumNodePhases; ph++ {
-			if h := p.Node(i).Phase(ph); h.Count > 0 {
-				s.Histograms[trace.Key{Name: "prof." + ph.String() + "_ps", Node: i}] = h
-			}
-		}
-	}
-	st := p.ParallelStats()
-	if st == nil {
-		return
-	}
-	ps := st.Summary()
-	s.Counters[trace.Key{Name: "prof.pdes.windows"}] = ps.Windows
-	s.Counters[trace.Key{Name: "prof.pdes.dirty_flips"}] = ps.DirtyFlips
-	s.Counters[trace.Key{Name: "prof.pdes.wide_windows"}] = ps.WideWindows
-	s.Gauges[trace.Key{Name: "prof.pdes.occupancy"}] = ps.Occupancy
-	s.Gauges[trace.Key{Name: "prof.pdes.imbalance"}] = ps.Imbalance
-	s.Gauges[trace.Key{Name: "prof.pdes.mean_window_ns"}] = ps.MeanWindowNs
-	s.Gauges[trace.Key{Name: "prof.pdes.cut_links"}] = float64(ps.CutLinks)
-	s.Gauges[trace.Key{Name: "prof.pdes.cut_weight"}] = ps.CutWeight
-	for _, pt := range ps.Partitions {
-		s.Gauges[trace.Key{Name: "prof.pdes.partition_busy_ms", Node: pt.Partition}] = pt.BusyMS
-		s.Gauges[trace.Key{Name: "prof.pdes.partition_barrier_wait_ms", Node: pt.Partition}] = pt.BarrierWaitMS
-	}
-	for from, row := range ps.MailboxPosts {
-		for to, n := range row {
-			if n > 0 {
-				s.Counters[trace.Key{Name: "prof.pdes.mailbox_posts", Node: from, Chan: to}] = n
-			}
-		}
-	}
-}
 
 // New builds a Monitor over src. It does not listen anywhere until
 // Serve is called, and does not sample until its OnSample is wired into

@@ -15,7 +15,7 @@ import (
 // and log2 histograms render as summaries with prof.HistSnapshot's
 // interpolated quantiles (the exporter-side convention for
 // pre-aggregated distributions). This is the only Prometheus writer:
-// profiler and serving series reach it through Monitor.scrape.
+// every series reaches it through the Monitor's one Source.
 
 var promQuantiles = []float64{0.5, 0.9, 0.99, 0.999}
 

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/prof"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -16,16 +17,17 @@ var promSample = regexp.MustCompile(
 	`^[a-zA-Z_:][a-zA-Z0-9_:]*\{[a-zA-Z_][a-zA-Z0-9_]*="[^"]*"(,[a-zA-Z_][a-zA-Z0-9_]*="[^"]*")*\} [-+0-9.eE]+$`)
 
 func promTestSnapshot() trace.Snapshot {
-	m := trace.NewMetrics()
-	m.Counter(trace.Key{Name: "port.pkts_sent", Link: 1}).Add(42)
-	m.Counter(trace.Key{Name: "port.pkts_sent", Link: 0}).Add(7)
-	m.Counter(trace.Key{Name: "nb.master_aborts", Node: 2}).Add(3)
-	m.Gauge(trace.Key{Name: "link.utilization", Link: 0}).Set(0.25)
-	h := m.Histogram(trace.Key{Name: "link.packet_latency_ps", Link: 0})
+	s := trace.NewSnapshot()
+	s.Counters[trace.Key{Name: "port.pkts_sent", Link: 1}] = 42
+	s.Counters[trace.Key{Name: "port.pkts_sent", Link: 0}] = 7
+	s.Counters[trace.Key{Name: "nb.master_aborts", Node: 2}] = 3
+	s.Gauges[trace.Key{Name: "link.utilization", Link: 0}] = 0.25
+	var h prof.Hist
 	for v := sim.Time(1); v <= 100; v++ {
 		h.Observe(v * 1000)
 	}
-	return m.Snapshot()
+	s.Histograms[trace.Key{Name: "prof.link.ser_ps", Link: 0}] = h.Snapshot()
+	return s
 }
 
 func TestPrometheusFormatValid(t *testing.T) {
@@ -76,8 +78,8 @@ func TestPrometheusFormatValid(t *testing.T) {
 		`tcc_link_utilization{node="0",link="0",chan="0"} 0.25`,
 		`quantile="0.5"`,
 		`quantile="0.999"`,
-		"tcc_link_packet_latency_ps_sum",
-		`tcc_link_packet_latency_ps_count{node="0",link="0",chan="0"} 100`,
+		"tcc_prof_link_ser_ps_sum",
+		`tcc_prof_link_ser_ps_count{node="0",link="0",chan="0"} 100`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q\n%s", want, out)
@@ -106,9 +108,10 @@ func TestPrometheusDeterministic(t *testing.T) {
 
 func TestPromNameMangling(t *testing.T) {
 	cases := map[string]string{
-		"port.pkts_sent":      "tcc_port_pkts_sent",
-		"events.barrier-exit": "tcc_events_barrier_exit",
-		"mpi.barrier_ps":      "tcc_mpi_barrier_ps",
+		"port.pkts_sent":   "tcc_port_pkts_sent",
+		"mpi.barrier_exit": "tcc_mpi_barrier_exit",
+		"prof.link.ser_ps": "tcc_prof_link_ser_ps",
+		"serve.a-b":        "tcc_serve_a_b",
 	}
 	for in, want := range cases {
 		if got := promName(in); got != want {

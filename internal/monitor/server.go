@@ -29,7 +29,7 @@ func newHTTPServer(m *Monitor, addr string) (*httpServer, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = WritePrometheus(w, m.scrape())
+		_ = WritePrometheus(w, m.src.Metrics())
 	})
 	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, m.Status())

@@ -108,11 +108,10 @@ func windowToJSON(w Window) WindowJSON {
 	}
 }
 
-// Status assembles the live status document: a fresh snapshot of every
-// source (see AddSource) plus the latest recorder window and active
-// alerts.
+// Status assembles the live status document: a fresh snapshot of the
+// source plus the latest recorder window and active alerts.
 func (m *Monitor) Status() Status {
-	s := m.scrape()
+	s := m.src.Metrics()
 	last, samples := m.LastSample()
 	m.mu.Lock()
 	dumpErr := m.dumpErr

@@ -295,16 +295,16 @@ func CreditStallRule(perSecond float64, sustain int) Rule {
 	})
 }
 
-// RingFullRule raises when a channel's receive ring reports at least
-// burst full-ring stalls inside one window for sustain windows running:
-// the consumer is not polling fast enough for the offered load.
+// RingFullRule raises when a node's message-library senders report at
+// least burst full-ring stalls inside one window for sustain windows
+// running: a consumer is not polling fast enough for the offered load.
 func RingFullRule(burst uint64, sustain int) Rule {
 	return newSustainedRule("ring-full", sustain, func(w Window) map[trace.Key]string {
 		viol := make(map[trace.Key]string)
 		for k, v := range w.Delta.Counters {
-			if k.Name == "chan.ring_full" && v >= burst {
+			if k.Name == "msg.ring_full" && v >= burst {
 				viol[nodeKey(k.Node)] = fmt.Sprintf(
-					"node %d hit %d ring-full stalls toward node %d in one window", k.Node, v, k.Chan)
+					"node %d hit %d ring-full stalls in one window", k.Node, v)
 			}
 		}
 		return viol

@@ -219,9 +219,7 @@ func TestWatchdogEmitsTraceEvents(t *testing.T) {
 	if len(kinds) != 2 || kinds[0] != trace.KindAlert || kinds[1] != trace.KindAlertResolved {
 		t.Fatalf("trace kinds = %v, want [alert alert-resolved]", kinds)
 	}
-	snap := col.Metrics().Snapshot()
-	if snap.Counters[trace.Key{Name: "alerts.raised"}] != 1 ||
-		snap.Counters[trace.Key{Name: "alerts.resolved"}] != 1 {
-		t.Fatalf("alert counters not derived: %v", snap.Counters)
+	if raised, resolved := d.Counts(); raised != 1 || resolved != 1 {
+		t.Fatalf("Counts() = %d/%d, want 1 raised, 1 resolved", raised, resolved)
 	}
 }

@@ -115,6 +115,7 @@ func (c *Comm) Barrier(done func(error)) {
 		c.epochs = make(map[int]int)
 	}
 	epoch := uint64(c.epochs[opBarrier])
+	c.barrierEnters.Add(1)
 	if c.tracer != nil {
 		c.tracer.Emit(trace.Event{
 			At: c.eng.Now(), Kind: trace.KindBarrierEnter,
@@ -125,6 +126,7 @@ func (c *Comm) Barrier(done func(error)) {
 	round = func(k, dist int) {
 		if dist >= n {
 			c.bumpEpoch(opBarrier)
+			c.barrierExits.Add(1)
 			if c.tracer != nil {
 				c.tracer.Emit(trace.Event{
 					At: c.eng.Now(), Kind: trace.KindBarrierExit,

@@ -3,6 +3,7 @@ package mpi
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/errs"
 	"repro/internal/msg"
@@ -32,6 +33,10 @@ type Comm struct {
 
 	epochs map[int]int // per-collective instance counters
 	stats  Stats
+
+	// World.Metrics series: written by the rank's partition only, read
+	// from any goroutine.
+	barrierEnters, barrierExits, rndvStarts atomic.Uint64
 }
 
 // Stats counts per-rank MPI activity.
@@ -224,6 +229,7 @@ func (c *Comm) sendRndv(dst, tag int, data []byte, done func(error)) {
 	}
 	c.rndvBusy[dst] = true
 	c.stats.RndvSends++
+	c.rndvStarts.Add(1)
 	if c.tracer != nil {
 		c.tracer.Emit(trace.Event{
 			At: c.eng.Now(), Kind: trace.KindRendezvousStart,

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/kernel"
 	"repro/internal/msg"
+	"repro/internal/trace"
 )
 
 // AnyTag matches any tag in Recv.
@@ -102,6 +103,25 @@ func NewWorld(os *kernel.OS, cfg Config) (*World, error) {
 
 // Size returns the number of ranks.
 func (w *World) Size() int { return w.n }
+
+// Metrics returns the world's per-rank series, Key.Node = rank:
+// mpi.barrier_enter and mpi.barrier_exit (their difference is the
+// ranks inside a barrier) and mpi.rendezvous_start. It reads atomics,
+// so it is safe while the simulation runs.
+func (w *World) Metrics() trace.Snapshot {
+	s := trace.NewSnapshot()
+	for _, c := range w.comms {
+		put := func(name string, v uint64) {
+			if v != 0 {
+				s.Counters[trace.Key{Name: name, Node: c.rank}] = v
+			}
+		}
+		put("mpi.barrier_enter", c.barrierEnters.Load())
+		put("mpi.barrier_exit", c.barrierExits.Load())
+		put("mpi.rendezvous_start", c.rndvStarts.Load())
+	}
+	return s
+}
 
 // Rank returns rank i's communicator.
 func (w *World) Rank(i int) *Comm { return w.comms[i] }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/errs"
 	"repro/internal/kernel"
 	"repro/internal/prof"
@@ -73,7 +74,7 @@ func Open(os *kernel.OS, src, dst int, par Params) (*Sender, *Receiver, error) {
 	// runs on: the sender's poll/trace activity belongs to src's
 	// partition, the receiver's poll loop to dst's.
 	s := &Sender{
-		eng: cl.EngineFor(src), par: par, src: src, dst: dst,
+		eng: cl.EngineFor(src), node: ks.Node(), par: par, src: src, dst: dst,
 		ring: sendWin, fc: fcLocal, bulk: bulkSend,
 		tracer: cl.TracerFor(src),
 	}
@@ -108,6 +109,7 @@ type Stats struct {
 // Sender is the source endpoint of a channel.
 type Sender struct {
 	eng      *sim.Engine
+	node     *core.Node // the source node, which counts ring-full stalls
 	par      Params
 	src, dst int
 
@@ -296,6 +298,7 @@ func (s *Sender) reserve(fs uint64, cont func(error)) {
 			// otherwise the read loops back to back, the paper's
 			// uncached spin poll.
 			s.stats.FCStalls++
+			s.node.CountRingFull()
 			if s.tracer != nil {
 				s.tracer.Emit(trace.Event{
 					At: s.eng.Now(), Kind: trace.KindRingFull, Node: s.src,

@@ -124,7 +124,8 @@ const histBuckets = 65
 
 // Hist is a log2-bucketed histogram of picosecond durations with one
 // writer goroutine and any number of snapshot readers. It is the one
-// histogram type: the serving stack and trace.Metrics use it too.
+// histogram type: the serving stack uses it too, and trace.Snapshot
+// carries its snapshots.
 // Increments are atomic load+store pairs rather than read-modify-writes
 // — single-writer ownership makes that exact, and on x86 it turns each
 // observe into plain MOVs instead of locked XADDs, which is what keeps

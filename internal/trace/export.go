@@ -56,15 +56,19 @@ func WriteChrome(w io.Writer, events []Event) error {
 		at int64
 		ev Event
 	}
-	sent := make(map[flightKey]pending)
+	type packetKey struct {
+		link, side int
+		seq        uint64
+	}
+	sent := make(map[packetKey]pending)
 	named := map[int]string{} // pid -> process name
 
 	for _, ev := range events {
 		switch ev.Kind {
 		case KindPacketSent:
-			sent[flightKey{ev.Link, ev.Src, ev.Seq}] = pending{int64(ev.At), ev}
+			sent[packetKey{ev.Link, ev.Src, ev.Seq}] = pending{int64(ev.At), ev}
 		case KindPacketDelivered:
-			k := flightKey{ev.Link, ev.Src, ev.Seq}
+			k := packetKey{ev.Link, ev.Src, ev.Seq}
 			tx, ok := sent[k]
 			if !ok {
 				out = append(out, chromeEvent{Name: ev.Label, Ph: "i",

@@ -8,17 +8,15 @@ import (
 	"repro/internal/sim"
 )
 
-// latencySnapshot emits one sent/delivered packet pair per latency on
-// link 0 and returns the link's derived latency histogram, the series
-// /metrics reports as tcc_link_packet_latency_ps.
+// latencySnapshot observes each latency into one prof.Hist and returns
+// the snapshot a Snapshot carries in Histograms, which /metrics
+// renders as a summary with these quantiles.
 func latencySnapshot(latencies []sim.Time) prof.HistSnapshot {
-	c := NewCollector(16)
-	for i, l := range latencies {
-		at := sim.Time(i) * 1_000_000
-		c.Emit(Event{At: at, Kind: KindPacketSent, Link: 0, Seq: uint64(i)})
-		c.Emit(Event{At: at + l, Kind: KindPacketDelivered, Link: 0, Seq: uint64(i)})
+	var h prof.Hist
+	for _, l := range latencies {
+		h.Observe(l)
 	}
-	return c.Metrics().Snapshot().Histograms[Key{Name: "link.packet_latency_ps", Link: 0}]
+	return h.Snapshot()
 }
 
 func TestQuantileEmptyHistogram(t *testing.T) {

@@ -1,8 +1,9 @@
 // Package trace is the cluster-wide observability substrate: every
 // layer of the TCCluster model — HT links, northbridges, the message
 // library, MPI collectives, firmware boot phases — emits typed events
-// into a Tracer, and a metrics registry aggregates counters, gauges and
-// latency histograms keyed by node/link/channel.
+// into a Tracer, and Snapshot is the one exchange type for the counters,
+// gauges and latency histograms each layer keeps, keyed by
+// node/link/channel.
 //
 // The design mirrors what APEnet+ (arXiv:1102.3796) ships as hardware
 // event counters: interconnect tuning is impossible without a uniform
@@ -143,10 +144,9 @@ type Tracer interface {
 }
 
 // Collector is a bounded ring-buffer Tracer: it keeps the most recent
-// Capacity events, counts what it had to drop, and feeds the derived
-// metrics registry (per-link packet latency histograms, per-kind event
-// counters). It is mutex-guarded so the live (goroutine) backend and
-// tests reading mid-run stay race-free.
+// Capacity events and counts what it had to drop. It derives no
+// metrics — every series comes from the layer that counts it. It is
+// mutex-guarded so tests and exporters reading mid-run stay race-free.
 type Collector struct {
 	mu      sync.Mutex
 	buf     []Event // ring storage
@@ -154,14 +154,6 @@ type Collector struct {
 	count   int     // events currently stored
 	total   uint64  // events ever emitted
 	dropped uint64
-
-	metrics  *Metrics
-	inFlight map[flightKey]sim.Time // sent-but-undelivered packets
-}
-
-type flightKey struct {
-	link, side int
-	seq        uint64
 }
 
 // NewCollector returns a Collector keeping at most capacity events
@@ -170,11 +162,7 @@ func NewCollector(capacity int) *Collector {
 	if capacity < 16 {
 		capacity = 16
 	}
-	return &Collector{
-		buf:      make([]Event, capacity),
-		metrics:  NewMetrics(),
-		inFlight: make(map[flightKey]sim.Time),
-	}
+	return &Collector{buf: make([]Event, capacity)}
 }
 
 // Emit records ev, evicting the oldest event when the ring is full.
@@ -189,46 +177,6 @@ func (c *Collector) Emit(ev Event) {
 	}
 	c.buf[(c.start+c.count)%len(c.buf)] = ev
 	c.count++
-	c.observe(ev)
-}
-
-// observe maintains the derived metrics. Called with the lock held.
-func (c *Collector) observe(ev Event) {
-	c.metrics.Counter(Key{Name: "events." + ev.Kind.String()}).Add(1)
-	switch ev.Kind {
-	case KindPacketSent:
-		c.metrics.Counter(Key{Name: "link.pkts_sent", Link: ev.Link}).Add(1)
-		c.metrics.Counter(Key{Name: "link.bytes_sent", Link: ev.Link}).Add(uint64(ev.Bytes))
-		c.inFlight[flightKey{ev.Link, ev.Src, ev.Seq}] = ev.At
-	case KindPacketDelivered:
-		k := flightKey{ev.Link, ev.Src, ev.Seq}
-		if t0, ok := c.inFlight[k]; ok {
-			delete(c.inFlight, k)
-			c.metrics.Histogram(Key{Name: "link.packet_latency_ps", Link: ev.Link}).
-				Observe(ev.At - t0)
-		}
-	case KindCreditStall:
-		c.metrics.Counter(Key{Name: "link.credit_stalls", Link: ev.Link}).Add(1)
-	case KindRingFull:
-		c.metrics.Counter(Key{Name: "chan.ring_full", Node: ev.Src, Chan: ev.Dst}).Add(1)
-	case KindBarrierEnter:
-		c.inFlight[flightKey{-1, ev.Node, ev.Seq}] = ev.At
-	case KindBarrierExit:
-		k := flightKey{-1, ev.Node, ev.Seq}
-		if t0, ok := c.inFlight[k]; ok {
-			delete(c.inFlight, k)
-			c.metrics.Histogram(Key{Name: "mpi.barrier_ps", Node: ev.Node}).
-				Observe(ev.At - t0)
-		}
-	case KindRendezvousStart:
-		c.metrics.Counter(Key{Name: "mpi.rendezvous", Node: ev.Node}).Add(1)
-	case KindAlert:
-		c.metrics.Counter(Key{Name: "alerts.raised"}).Add(1)
-	case KindAlertResolved:
-		c.metrics.Counter(Key{Name: "alerts.resolved"}).Add(1)
-	case KindLinkState:
-		c.metrics.Counter(Key{Name: "link.state_changes", Link: ev.Link}).Add(1)
-	}
 }
 
 // Events returns the buffered events, oldest first.
@@ -254,18 +202,4 @@ func (c *Collector) Dropped() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.dropped
-}
-
-// Metrics returns the registry of metrics derived from the event
-// stream.
-func (c *Collector) Metrics() *Metrics { return c.metrics }
-
-// Reset discards buffered events and derived state; the metrics
-// registry is replaced.
-func (c *Collector) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.start, c.count, c.total, c.dropped = 0, 0, 0, 0
-	c.metrics = NewMetrics()
-	c.inFlight = make(map[flightKey]sim.Time)
 }

@@ -528,3 +528,151 @@ func TestMetricsCarriesServeProfileAndPDES(t *testing.T) {
 		t.Errorf("/metrics serve completions = %g, report says %d", got, r.Completed)
 	}
 }
+
+// TestRingFullRuleWithoutTracer: ring-full stalls are counted by the
+// sending node, not derived from trace events, so the default watchdog's
+// ring-full rule fires on a cluster built with no tracer when a sender
+// keeps sending to a receiver that never polls.
+func TestRingFullRuleWithoutTracer(t *testing.T) {
+	topo, err := tccluster.Chain(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raised []tccluster.Alert
+	c, err := tccluster.New(topo, tccluster.DefaultConfig(),
+		tccluster.WithMonitor("", tccluster.MonitorOnAlert(func(a tccluster.Alert) {
+			if a.Active() {
+				raised = append(raised, a)
+			}
+		})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	s, r, err := c.OpenChannel(0, 1, tccluster.DefaultMsgParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Stop()
+	for i := 0; i < 64; i++ {
+		s.Send(make([]byte, 256), func(error) {})
+	}
+	// The sender spin-polls flow control forever; bound the run.
+	c.RunFor(1 * tccluster.Millisecond)
+
+	found := false
+	for _, a := range raised {
+		found = found || a.Rule == "ring-full" && a.Target.Node == 0
+	}
+	if !found {
+		t.Errorf("alerts raised %+v, want a ring-full alert on node 0", raised)
+	}
+	if n := c.Metrics().Counters[tccluster.MetricKey{Name: "msg.ring_full", Node: 0}]; n == 0 {
+		t.Error("no msg.ring_full stalls counted on node 0")
+	}
+}
+
+// TestServeSeriesReachRecorderWindows: a deployed service's serve.*
+// counters are part of the one snapshot the monitor samples, so they
+// show up in flight-recorder window deltas (and so in watchdog input),
+// not only on /metrics.
+func TestServeSeriesReachRecorderWindows(t *testing.T) {
+	topo, err := tccluster.Chain(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := tccluster.New(topo, tccluster.DefaultConfig(),
+		tccluster.WithMonitor("", tccluster.MonitorSampleEvery(50*tccluster.Microsecond)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	cfg := tccluster.DefaultServeConfig()
+	cfg.RequestsPerNode = 100
+	svc, err := c.NewService(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.Start()
+	c.RunFor(400 * tccluster.Microsecond)
+	svc.Stop()
+	c.Run()
+
+	var completed uint64
+	for _, w := range c.Monitor().Recorder().Windows() {
+		completed += w.Delta.Counters[tccluster.MetricKey{Name: "serve.completed"}]
+	}
+	if completed == 0 {
+		t.Fatal("no serve.completed increase in any flight-recorder window")
+	}
+	if r := svc.Report(); completed > r.Completed {
+		t.Fatalf("windows saw %d completions, report says only %d", completed, r.Completed)
+	}
+}
+
+// TestMPIAndFlapSeriesWithoutTracer: with no tracer installed, an MPI
+// barrier moves the mpi.barrier_* counters and a link flap moves
+// link.state_changes on /metrics.json — the series tcctop's MPI and
+// FLAPS columns read.
+func TestMPIAndFlapSeriesWithoutTracer(t *testing.T) {
+	topo, err := tccluster.Chain(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := tccluster.New(topo, tccluster.DefaultConfig(),
+		// Boot takes ~1.2 ms; flap well after the barrier is done.
+		tccluster.WithFaults(tccluster.LinkFlap(1, 2*tccluster.Millisecond, 2, 100*tccluster.Microsecond)),
+		tccluster.WithMonitor("127.0.0.1:0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	w, err := c.NewWorld(tccluster.DefaultMPIConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	released := 0
+	for r := 0; r < w.Size(); r++ {
+		w.Rank(r).Barrier(func(err error) {
+			if err != nil {
+				t.Errorf("barrier: %v", err)
+			}
+			released++
+		})
+	}
+	c.RunFor(2 * tccluster.Millisecond)
+	if released != w.Size() {
+		t.Fatalf("%d of %d ranks left the barrier", released, w.Size())
+	}
+
+	resp, err := http.Get("http://" + c.Monitor().Addr() + "/metrics.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Counters []struct {
+			Name  string `json:"name"`
+			Link  int    `json:"link"`
+			Value uint64 `json:"value"`
+		} `json:"counters"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&doc)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]uint64{}
+	for _, ctr := range doc.Counters {
+		got[ctr.Name] += ctr.Value
+		if ctr.Name == "link.state_changes" && ctr.Link != 1 {
+			t.Errorf("state change counted on link %d, only link 1 flapped", ctr.Link)
+		}
+	}
+	if got["mpi.barrier_enter"] != uint64(w.Size()) || got["mpi.barrier_exit"] != uint64(w.Size()) {
+		t.Errorf("barrier enter/exit = %d/%d, want %d each",
+			got["mpi.barrier_enter"], got["mpi.barrier_exit"], w.Size())
+	}
+	if got["link.state_changes"] == 0 {
+		t.Error("no link.state_changes after a two-flap campaign")
+	}
+}

@@ -117,7 +117,7 @@ func TestMetricsSnapshot(t *testing.T) {
 	}
 	col := tccluster.NewCollector(1 << 16)
 	c, err := tccluster.New(topo, tccluster.DefaultConfig(),
-		tccluster.WithTracer(col))
+		tccluster.WithTracer(col), tccluster.WithProfile())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,22 +133,22 @@ func TestMetricsSnapshot(t *testing.T) {
 	if sent == 0 {
 		t.Error("no port.pkts_sent counters after a ping-pong")
 	}
-	if _, ok := s.Histograms[tccluster.MetricKey{Name: "link.packet_latency_ps", Link: 0}]; !ok {
-		t.Error("no link.packet_latency_ps histogram for link 0")
+	if h := s.Histograms[tccluster.MetricKey{Name: "prof.link.ser_ps", Link: 0}]; h.Count == 0 {
+		t.Error("no prof.link.ser_ps histogram for link 0")
 	}
-	var boots uint64
-	for k, v := range s.Counters {
-		if k.Name == "events.boot-phase" {
-			boots += v
+	boots := 0
+	for _, ev := range col.Events() {
+		if ev.Kind.String() == "boot-phase" {
+			boots++
 		}
 	}
 	if boots == 0 {
-		t.Error("no boot-phase events counted")
+		t.Error("no boot-phase events traced")
 	}
 }
 
-// Tracing must also flow through the deprecated kernel-options entry
-// point, and the Chrome export of a real run must be valid JSON.
+// Tracing must also flow through the kernel-options entry point, and
+// the Chrome export of a real run must be valid JSON.
 func TestChromeExportValidJSON(t *testing.T) {
 	topo, err := tccluster.Chain(2)
 	if err != nil {

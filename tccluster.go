@@ -36,6 +36,8 @@
 package tccluster
 
 import (
+	"sync"
+
 	"repro/internal/core"
 	"repro/internal/errs"
 	"repro/internal/fault"
@@ -320,6 +322,9 @@ type Cluster struct {
 	os  *kernel.OS
 	mon *monitor.Monitor
 	inj *fault.Injector
+
+	srcMu   sync.Mutex
+	sources []monitor.Source // merged over core's counters by Metrics
 }
 
 // Option customizes New beyond the hardware Config: kernel selection,
@@ -385,14 +390,15 @@ func WithParallel(n int) Option {
 // WithMonitor starts the live-monitoring subsystem on the cluster: an
 // HTTP server on addr exposing /metrics (Prometheus text), /metrics.json
 // (the document cmd/tcctop polls), /health, /alerts and /dump; a flight
-// recorder sampling snapshot deltas into a bounded ring; and an alert
-// watchdog evaluating health rules (dead link, credit-stall storm,
-// ring-full burst, master-abort storm) against every sampling window.
+// recorder sampling Cluster.Metrics deltas into a bounded ring; and an
+// alert watchdog evaluating health rules (dead link, credit-stall
+// storm, ring-full burst, master-abort storm) against every sampling
+// window. Sampling and scraping read the same snapshot, and no tracer
+// is needed for any of it.
 // An empty addr enables sampling, recording and watchdogs without
 // listening anywhere. Call Cluster.Close when done to stop the server:
 //
 //	c, err := tccluster.New(topo, cfg,
-//		tccluster.WithTracer(tccluster.NewCollector(1<<16)),
 //		tccluster.WithMonitor("127.0.0.1:9120",
 //			tccluster.MonitorSampleEvery(50*tccluster.Microsecond),
 //			tccluster.MonitorAutoDump("incident.json")))
@@ -416,9 +422,10 @@ func WithMonitor(addr string, opts ...MonitorOption) Option {
 // an unprofiled one. The profiler attaches after firmware boot, so the
 // budget covers workload traffic.
 //
-// Read results with Cluster.Profile; combined with WithMonitor the
-// summary is also served as JSON at /profile, and every phase
-// histogram and PDES series joins /metrics and /metrics.json.
+// Read results with Cluster.Profile. Every phase histogram and PDES
+// series joins Cluster.Metrics; combined with WithMonitor they reach
+// /metrics and /metrics.json and the summary is served as JSON at
+// /profile.
 // ProfileSpans() additionally emits per-packet phase spans into the
 // tracer for Chrome-trace rendering (requires WithTracer):
 //
@@ -511,6 +518,9 @@ func New(topo *Topology, cfg Config, opts ...Option) (*Cluster, error) {
 		return nil, err
 	}
 	cl := &Cluster{Cluster: c, os: kernel.Install(c, b.kopt)}
+	if b.cfg.Profiler != nil {
+		cl.addSource(profileSource{b.cfg.Profiler})
+	}
 	if len(b.faults) > 0 {
 		inj, err := fault.NewInjector(c, fault.NewCampaign(b.faults...))
 		if err != nil {
@@ -518,6 +528,7 @@ func New(topo *Topology, cfg Config, opts ...Option) (*Cluster, error) {
 		}
 		cl.inj = inj
 		c.SetActionSource(inj)
+		cl.addSource(inj)
 	}
 	if b.monitorOn {
 		mopts := append([]MonitorOption{
@@ -525,7 +536,7 @@ func New(topo *Topology, cfg Config, opts ...Option) (*Cluster, error) {
 			monitor.WithTracer(b.cfg.Tracer),
 			monitor.WithProfiler(b.cfg.Profiler),
 		}, b.monitorOpts...)
-		cl.mon = monitor.New(c, mopts...)
+		cl.mon = monitor.New(cl, mopts...)
 		c.SetSampleHook(cl.mon.Interval(), cl.mon.OnSample)
 		if b.monitorAddr != "" {
 			if err := cl.mon.Serve(b.monitorAddr); err != nil {
@@ -579,9 +590,15 @@ func (c *Cluster) OpenChannel(src, dst int, par MsgParams) (*Sender, *Receiver, 
 	return msg.Open(c.os, src, dst, par)
 }
 
-// NewWorld opens an MPI world spanning all nodes.
+// NewWorld opens an MPI world spanning all nodes. Its mpi.* series
+// join Cluster.Metrics (and so /metrics and the monitor's windows).
 func (c *Cluster) NewWorld(cfg MPIConfig) (*World, error) {
-	return mpi.NewWorld(c.os, cfg)
+	w, err := mpi.NewWorld(c.os, cfg)
+	if err != nil {
+		return nil, err
+	}
+	c.addSource(w)
+	return w, nil
 }
 
 // NewSpace creates a partitioned global address space spanning all
@@ -593,18 +610,16 @@ func (c *Cluster) NewSpace(cfg PGASConfig) (*Space, error) {
 // NewService deploys a sharded, replicated KV/query service over every
 // node: consistent-hash placement, a full channel mesh, per-node
 // open-loop clients with token-bucket admission. Call Service.Start,
-// drive the cluster, then read Service.Report. On a cluster built
-// WithMonitor the service's serve.* counters and serve.latency_ps
-// histogram join /metrics and /metrics.json (and so the tcctop SERVE
-// panel) automatically.
+// drive the cluster, then read Service.Report. The service's serve.*
+// counters and serve.latency_ps histogram join Cluster.Metrics, and so
+// a WithMonitor cluster's windows, watchdog, /metrics and /metrics.json
+// (the tcctop SERVE panel).
 func (c *Cluster) NewService(cfg ServeConfig) (*Service, error) {
 	s, err := serve.New(c.os, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if c.mon != nil {
-		c.mon.AddSource(s)
-	}
+	c.addSource(s)
 	return s, nil
 }
 
