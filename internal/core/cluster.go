@@ -29,15 +29,13 @@ type Cluster struct {
 	nodeLinks [][]*ht.Link // per node: southbridge link + internal chain links
 	flashes   []*southbridge.Device
 
-	// Parallel-mode state, nil on serial runs; see parallel.go.
+	// The run loop and its partitions (one on serial runs); see
+	// parallel.go. shards and exiled stay nil on serial runs.
 	engs   []*sim.Engine
 	part   []int // node index -> partition index
 	runner *sim.Parallel
 	shards *trace.Shards
 	exiled [][]*ht.Packet // per partition: foreign pooled packets awaiting repatriation
-
-	// Scripted fault-action source, nil unless a campaign is installed.
-	actions ActionSource
 }
 
 // ActionSource feeds scripted actions (fault campaigns) into the run
@@ -45,8 +43,8 @@ type Cluster struct {
 // virtual time; FireActions applies every action due at or before now.
 // Actions fire on a clean cut of the timeline — after every event
 // strictly before their timestamp, before any event at or after it —
-// identically under the serial and parallel executors. FireActions may
-// only schedule follow-up actions strictly later than now.
+// identically on one partition or many. FireActions may only schedule
+// follow-up actions strictly later than now.
 type ActionSource interface {
 	NextAction() (sim.Time, bool)
 	FireActions(now sim.Time)
@@ -347,12 +345,7 @@ func (c *Cluster) Engine() *sim.Engine { return c.eng }
 // clocks are aligned between runs, so this is well-defined whenever the
 // cluster is quiescent (which is the only time callers outside the
 // simulation may observe it).
-func (c *Cluster) Now() sim.Time {
-	if c.runner != nil {
-		return c.runner.Now()
-	}
-	return c.eng.Now()
-}
+func (c *Cluster) Now() sim.Time { return c.runner.Now() }
 
 // Config returns the configuration the cluster was built with.
 func (c *Cluster) Config() Config { return c.cfg }
@@ -438,35 +431,19 @@ func (c *Cluster) Metrics() trace.Snapshot {
 	return s
 }
 
-// SetSampleHook installs fn to be called from inside the simulation
-// loop at each multiple of every that the clock reaches or crosses.
-// The hook rides the engine's clock probe, so it adds no events of its
-// own: installing it never keeps Run from draining, and a cluster that
-// stops scheduling work simply stops sampling. When the clock
-// fast-forwards across several boundaries (an idle gap inside a
-// bounded run), each boundary fires its own call with the clock parked
-// exactly on it, so samples are stamped at exact multiples of every. A
-// nil fn or non-positive every uninstalls the hook.
-// On parallel runs the hook rides the window barrier instead: windows
-// are clamped to sample boundaries and fn runs in the coordinator's
-// serial section, after trace shards merge, with every worker parked.
+// SetSampleHook installs fn to be called at each multiple of every past
+// the current time. Each call is a cut of the run loop's timeline: every
+// event before the boundary has run, none at or after it has, every
+// partition clock sits exactly on the boundary and every worker is
+// parked, so fn may read the whole cluster. A sample adds no events of
+// its own: installing it never keeps Run from draining, and a cluster
+// that stops scheduling work simply stops sampling. When the clock
+// jumps across several boundaries (an idle gap inside a bounded run),
+// each boundary fires its own call at its exact time. A sample and a
+// fault action at the same instant fire sample first. A nil fn or
+// non-positive every uninstalls the hook.
 func (c *Cluster) SetSampleHook(every sim.Time, fn func(now sim.Time)) {
-	if c.runner != nil {
-		c.runner.SetSampleHook(every, fn)
-		return
-	}
-	if fn == nil || every <= 0 {
-		c.eng.SetProbe(nil, 0)
-		return
-	}
-	next := c.eng.Now() + every
-	c.eng.SetProbe(func(now sim.Time) sim.Time {
-		for next <= now {
-			next += every
-		}
-		fn(now)
-		return next
-	}, next)
+	c.runner.SetSampleHook(every, fn)
 }
 
 // LinkStatus describes one external TCCluster link for the monitoring
@@ -500,74 +477,24 @@ func (c *Cluster) LinkStatuses() []LinkStatus {
 }
 
 // SetActionSource installs a scripted-action source (a fault
-// campaign). On parallel clusters the source also hooks the window
-// coordinator so actions fire in its serial sections.
+// campaign); nil removes it. Its actions are cuts of the run loop's
+// timeline, like monitor samples (see SetSampleHook).
 func (c *Cluster) SetActionSource(src ActionSource) {
-	c.actions = src
-	if c.runner != nil {
-		if src == nil {
-			c.runner.SetActionHook(nil, nil)
-			return
-		}
-		c.runner.SetActionHook(src.NextAction, src.FireActions)
+	if src == nil {
+		c.runner.SetActionHook(nil, nil)
+		return
 	}
+	c.runner.SetActionHook(src.NextAction, src.FireActions)
 }
 
-// Run drains all pending simulation events. Pending scripted actions
-// count as work: a fault campaign's rejoin fires even on an idle
-// fabric.
-func (c *Cluster) Run() {
-	if c.runner != nil {
-		c.runner.Run()
-		return
-	}
-	if c.actions != nil {
-		c.runActions(0, false)
-		return
-	}
-	c.eng.Run()
-}
+// Run drains all pending simulation events, firing every sample and
+// action cut on the way. Pending scripted actions count as work: a fault
+// campaign's rejoin fires even on an idle fabric.
+func (c *Cluster) Run() { c.runner.Run() }
 
-// RunFor advances virtual time by d.
-func (c *Cluster) RunFor(d sim.Time) {
-	if c.runner != nil {
-		c.runner.RunFor(d)
-		return
-	}
-	if c.actions != nil {
-		c.runActions(c.eng.Now()+d, true)
-		return
-	}
-	c.eng.RunFor(d)
-}
-
-// runActions is the serial run loop with a campaign installed: run up
-// to (but not including) the next action's timestamp, align the clock
-// onto it, fire, repeat. Time is integer picoseconds, so "every event
-// strictly before t" is exactly RunUntil(t-1); AlignTo then parks the
-// clock at t itself so the actions' mutations and any follow-ups they
-// schedule observe the same instant the parallel coordinator produces.
-func (c *Cluster) runActions(deadline sim.Time, bounded bool) {
-	for {
-		at, ok := c.actions.NextAction()
-		if ok && bounded && at > deadline {
-			ok = false
-		}
-		if !ok {
-			if bounded {
-				c.eng.RunUntil(deadline)
-			} else {
-				c.eng.Run()
-			}
-			return
-		}
-		if at > c.eng.Now() {
-			c.eng.RunUntil(at - 1)
-			c.eng.AlignTo(at)
-		}
-		c.actions.FireActions(at)
-	}
-}
+// RunFor advances virtual time by d, firing every sample and action cut
+// up to the new time.
+func (c *Cluster) RunFor(d sim.Time) { c.runner.RunFor(d) }
 
 // GlobalBase returns the first global physical address of node i's DRAM.
 func (c *Cluster) GlobalBase(i int) uint64 { return uint64(i) * c.cfg.MemPerNode }

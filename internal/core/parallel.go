@@ -24,7 +24,9 @@ func crossLatency(l *ht.Link) sim.Time {
 	return l.FlightTime() + l.SerializationTime(4)
 }
 
-// setupParallel splits the booted cluster into cfg.Parallel partitions,
+// setupParallel builds the cluster's run loop. A serial cluster gets a
+// one-partition loop over the boot engine and nothing else. Otherwise
+// it splits the booted cluster into cfg.Parallel partitions,
 // each with its own event engine, packet pool, and trace shard, joined
 // by a conservative windowed barrier (sim.Parallel). The partition map
 // is a greedy graph-cut over the external-link graph
@@ -36,12 +38,15 @@ func crossLatency(l *ht.Link) sim.Time {
 // trace — is bit-identical to a serial run. Only then are components
 // rebound onto partition engines, all warped to the boot end time.
 func (c *Cluster) setupParallel() error {
-	p := c.cfg.Parallel
-	if p > len(c.machines) {
-		p = len(c.machines)
-	}
+	p := min(c.cfg.Parallel, len(c.machines))
 	if p < 2 {
-		return nil
+		// The lookahead bounds nothing with a single partition; any
+		// positive value does.
+		c.engs = []*sim.Engine{c.eng}
+		c.part = make([]int, len(c.machines))
+		runner, err := sim.NewParallel(c.engs, [][]*sim.Mailbox{nil}, sim.Millisecond)
+		c.runner = runner
+		return err
 	}
 
 	// Reject zero-lookahead interconnects before deriving partitions:
@@ -207,25 +212,15 @@ func (c *Cluster) setupParallel() error {
 }
 
 // Partitions returns the number of worker partitions, 1 on serial runs.
-func (c *Cluster) Partitions() int {
-	if c.runner == nil {
-		return 1
-	}
-	return len(c.engs)
-}
+func (c *Cluster) Partitions() int { return len(c.engs) }
 
 // Partition returns the partition index owning node i (0 on serial runs).
-func (c *Cluster) Partition(i int) int {
-	if c.part == nil {
-		return 0
-	}
-	return c.part[i]
-}
+func (c *Cluster) Partition(i int) int { return c.part[i] }
 
 // Lookahead returns the conservative window width of a parallel run, or
 // 0 on serial runs.
 func (c *Cluster) Lookahead() sim.Time {
-	if c.runner == nil {
+	if len(c.engs) == 1 {
 		return 0
 	}
 	return c.runner.Lookahead()
@@ -235,12 +230,7 @@ func (c *Cluster) Lookahead() sim.Time {
 // that schedule work against a specific node (kernel pollers, message
 // rings) must use this, not Engine, so their events land on the
 // partition that owns the node.
-func (c *Cluster) EngineFor(i int) *sim.Engine {
-	if c.runner == nil {
-		return c.eng
-	}
-	return c.engs[c.part[i]]
-}
+func (c *Cluster) EngineFor(i int) *sim.Engine { return c.engs[c.part[i]] }
 
 // TracerFor returns the tracer node i's partition may emit into from a
 // worker goroutine: its trace shard on parallel runs, the base tracer
@@ -254,9 +244,4 @@ func (c *Cluster) TracerFor(i int) trace.Tracer {
 
 // EventsFired returns the total number of simulation events executed
 // across all partitions.
-func (c *Cluster) EventsFired() uint64 {
-	if c.runner == nil {
-		return c.eng.Fired()
-	}
-	return c.runner.Fired()
-}
+func (c *Cluster) EventsFired() uint64 { return c.runner.Fired() }

@@ -3,7 +3,9 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/errs"
@@ -209,6 +211,62 @@ func TestParallelTraceMatchesSerial(t *testing.T) {
 	for i := range serial {
 		if serial[i] != par[i] {
 			t.Fatalf("trace event %d diverged:\nserial:   %s\nparallel: %s", i, serial[i], par[i])
+		}
+	}
+}
+
+// oneAction is an ActionSource with a single scripted action.
+type oneAction struct {
+	at   sim.Time
+	done bool
+	fire func(now sim.Time)
+}
+
+func (a *oneAction) NextAction() (sim.Time, bool) { return a.at, !a.done }
+func (a *oneAction) FireActions(now sim.Time)     { a.done = true; a.fire(now) }
+
+// TestSampleAndActionShareOneCut puts a monitor sample, a fault action
+// and an event on every partition at one instant. Serially and at 2
+// workers the cut fires the sample first, then the action, then the
+// events; and the serial cluster runs it all without a goroutine.
+func TestSampleAndActionShareOneCut(t *testing.T) {
+	for _, workers := range []int{0, 2} {
+		c := buildParallel(t, 2, workers)
+		t0 := c.Now()
+		at := t0 + 20*sim.Microsecond
+		var cuts []string // coordinator only
+		acted := false
+		// One slot per node: each partition writes only its own.
+		sawAction := make([]bool, c.N())
+		live := make([]int, c.N())
+		base := runtime.NumGoroutine()
+		for i := 0; i < c.N(); i++ {
+			c.EngineFor(i).At(at, func() {
+				sawAction[i], live[i] = acted, runtime.NumGoroutine()
+			})
+		}
+		c.SetSampleHook(10*sim.Microsecond, func(now sim.Time) {
+			cuts = append(cuts, fmt.Sprintf("sample@%v", now-t0))
+		})
+		c.SetActionSource(&oneAction{at: at, fire: func(now sim.Time) {
+			acted = true
+			cuts = append(cuts, fmt.Sprintf("action@%v", now-t0))
+		}})
+		c.Run()
+		want := "sample@10us sample@20us action@20us"
+		if got := strings.Join(cuts, " "); got != want {
+			t.Fatalf("workers=%d: cut order %q, want %q", workers, got, want)
+		}
+		for i, ok := range sawAction {
+			if !ok {
+				t.Fatalf("workers=%d: node %d's event at the cut ran before the action", workers, i)
+			}
+			if workers == 0 && live[i] > base {
+				t.Fatalf("serial run started goroutines: %d live during an event, %d before", live[i], base)
+			}
+		}
+		if c.Now() != at {
+			t.Fatalf("workers=%d: run ended at %v, want %v", workers, c.Now(), at)
 		}
 	}
 }

@@ -16,6 +16,12 @@
 // arena-backed ladder queue (see queue.go); NewLegacyEngine selects the
 // seed container/heap queue instead, kept as a determinism oracle and
 // benchmark baseline.
+//
+// A cluster drives its engines through one run loop, Parallel (see
+// parallel.go): a serial cluster is its one-partition case. The loop,
+// not the engine, owns the cuts of the timeline — monitor samples and
+// scripted fault actions — so the engine's per-event path is a single
+// bounded pop and a dispatch.
 package sim
 
 import (
@@ -88,28 +94,14 @@ type funcHandler func()
 
 func (f funcHandler) OnEvent(*Engine, EventArg) { f() }
 
-// Probe observes the engine's virtual clock. An armed probe is invoked
-// at its exact wake time: before the engine executes any event at or
-// past the wake, it parks the clock on the wake time and calls the
-// probe with now == wake. The probe returns the next wake time (a time
-// not after now disarms it). When a quiescence fast-forward jumps the
-// clock across several wake times, each one fires in order at its own
-// instant — a monitor sampling every 10µs across an 8ms idle gap sees
-// every boundary, stamped exactly. The engine holds the wake time
-// itself, so between wake-ups the hot path pays one nil check per
-// executed event, never a dynamic call.
-type Probe func(now Time) Time
-
 // Engine is a discrete-event simulator. The zero value is ready to use.
 // Engine is not safe for concurrent use; the whole point is a single
 // deterministic timeline.
 type Engine struct {
-	now     Time
-	seq     uint64
-	fired   uint64
-	halted  bool
-	probe   Probe
-	probeAt Time // next probe wake time, meaningful while probe != nil
+	now    Time
+	seq    uint64
+	fired  uint64
+	halted bool
 
 	// Lineage priority state (see queue.go's ordering contract). While a
 	// handler runs, firing is true and curPri carries the executing
@@ -238,43 +230,13 @@ func (e *Engine) After(d Time, fn func()) {
 	e.ScheduleAfter(d, funcHandler(fn), EventArg{})
 }
 
-// SetProbe arms the clock observer to fire once the clock reaches wake
-// (nil disarms). The observability layer uses it to sample virtual-time
-// windows; the hot path pays one nil check per executed event when no
-// probe is armed and one integer compare when one is.
-func (e *Engine) SetProbe(p Probe, wake Time) {
-	e.probe = p
-	e.probeAt = wake
-}
-
-// fireProbe invokes the armed probe at its exact wake time: the clock
-// is parked on the wake (never rewound) before the call, so the probe
-// observes Now() == wake and may schedule events, which land at or
-// after the wake like any other scheduling.
-func (e *Engine) fireProbe() {
-	wake := e.probeAt
-	if wake < e.now {
-		wake = e.now
-	}
-	e.now = wake
-	if next := e.probe(wake); next > wake {
-		e.probeAt = next
-	} else {
-		e.probe = nil
-	}
-}
-
 // Step executes the next pending event, advancing the clock to its
-// timestamp. Armed probe wakes at or before that timestamp fire first,
-// each at its exact time. It reports whether an event was executed.
-func (e *Engine) Step() bool {
-	for e.probe != nil {
-		t, ok := e.nextTime()
-		if !ok || t < e.probeAt {
-			break
-		}
-		e.fireProbe() // may schedule new events: re-peek each round
-	}
+// timestamp. It reports whether an event was executed.
+func (e *Engine) Step() bool { return e.step(maxTime) }
+
+// step executes the earliest pending event if its timestamp is at or
+// before limit: one bounded pop per event, no separate peek.
+func (e *Engine) step(limit Time) bool {
 	var (
 		at  Time
 		pri uint64
@@ -282,13 +244,13 @@ func (e *Engine) Step() bool {
 		arg EventArg
 	)
 	if e.legacy != nil {
-		ev, ok := e.legacy.pop()
+		ev, ok := e.legacy.popUntil(limit)
 		if !ok {
 			return false
 		}
 		at, pri, h, arg = ev.at, ev.pri, ev.h, ev.arg
 	} else {
-		en, ok := e.q.pop()
+		en, ok := e.q.popUntil(limit)
 		if !ok {
 			return false
 		}
@@ -321,23 +283,10 @@ func (e *Engine) Run() {
 }
 
 // RunUntil executes events with timestamps <= deadline, then advances the
-// clock to the deadline. Events beyond the deadline stay pending. The
-// final jump to the deadline is a quiescence fast-forward: it fires
-// every armed probe wake the jump crosses, each at its exact virtual
-// time, instead of silently skipping them — and a probe that schedules
-// new events at or before the deadline gets them executed too.
+// clock to the deadline. Events beyond the deadline stay pending.
 func (e *Engine) RunUntil(deadline Time) {
 	e.halted = false
-	for !e.halted {
-		if t, ok := e.nextTime(); ok && t <= deadline {
-			e.Step()
-			continue
-		}
-		if e.probe != nil && e.probeAt <= deadline {
-			e.fireProbe()
-			continue
-		}
-		break
+	for !e.halted && e.step(deadline) {
 	}
 	if !e.halted && e.now < deadline {
 		e.now = deadline
@@ -349,21 +298,16 @@ func (e *Engine) RunFor(d Time) { e.RunUntil(e.now + d) }
 
 // runEvents executes events with timestamps <= deadline but, unlike
 // RunUntil, leaves the clock at the last fired event instead of jumping
-// to the deadline. The parallel executor uses it so a window bound
+// to the deadline. The run loop (parallel.go) uses it so a window bound
 // (which is a synchronization artifact, not a workload time) never
 // shows up in the final virtual time. The deadline is dynamic: posting
 // cross-partition mail shrinks it (via winCap) to the post time plus
 // twice the lookahead, the earliest instant a consequence of that mail
-// could return to this partition.
+// could return to this partition. Halt does not apply: the run loop
+// owns the stopping rule.
 func (e *Engine) runEvents(deadline Time) {
-	e.halted = false
 	e.winCap = deadline
-	for !e.halted {
-		t, ok := e.nextTime()
-		if !ok || t > e.winCap {
-			return
-		}
-		e.Step()
+	for e.step(e.winCap) {
 	}
 }
 
@@ -373,29 +317,19 @@ func (e *Engine) Halt() { e.halted = true }
 
 // AlignTo advances the clock to t without executing anything: a no-op
 // when the clock is already at or past t, a panic when a pending event
-// would be skipped by the jump. Fault campaigns use it to park every
-// engine exactly at an action's timestamp — after all events before it,
-// before any event at or after it — so a fault applies at the same
-// instant under the serial and parallel executors. Unlike RunUntil the
-// jump is a synchronization artifact: armed probe wakes the jump
-// crosses still fire at their exact times, but no events run (a probe
-// that schedules an event before t defeats the alignment and panics).
+// would be skipped by the jump. The run loop uses it to park every
+// engine exactly on a cut of the timeline (a monitor sample or a fault
+// action) — after all events before it, before any event at or after
+// it — so the cut observes the same instant under one partition or
+// many.
 func (e *Engine) AlignTo(t Time) {
 	if t <= e.now {
 		return
 	}
-	for {
-		if next, ok := e.nextTime(); ok && next < t {
-			panic(fmt.Sprintf("sim: AlignTo(%v) would skip an event pending at %v", t, next))
-		}
-		if e.probe == nil || e.probeAt > t {
-			break
-		}
-		e.fireProbe()
+	if next, ok := e.nextTime(); ok && next < t {
+		panic(fmt.Sprintf("sim: AlignTo(%v) would skip an event pending at %v", t, next))
 	}
-	if e.now < t {
-		e.now = t
-	}
+	e.now = t
 }
 
 // WarpTo jumps an idle engine's clock forward to t without executing

@@ -317,66 +317,79 @@ func TestEventOrderingProperty(t *testing.T) {
 	}
 }
 
+// loop wraps engines in the run loop that owns the sample hook: one
+// engine is the serial case, more are partitions with no mail between
+// them.
+func loop(t *testing.T, engs ...*Engine) *Parallel {
+	t.Helper()
+	p, err := NewParallel(engs, make([][]*Mailbox, len(engs)), Nanosecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// The sample hook is the run loop's clock probe: it fires at each exact
+// boundary, before any event at or past it.
 func TestEngineProbeWakeSemantics(t *testing.T) {
 	e := NewEngine()
+	p := loop(t, e)
 	var wakes []Time
-	// Arm at 100ns, re-arm every 100ns: events at 40, 80 must not wake
-	// the probe; before the 120 event fires the 100 boundary is due and
-	// fires exactly at 100; 130 is inside the next window; before 250
-	// fires the 200 boundary is due and fires exactly at 200.
-	e.SetProbe(func(now Time) Time {
-		wakes = append(wakes, now)
-		next := Time(100 * Nanosecond)
-		for next <= now {
-			next += 100 * Nanosecond
+	// Every 100ns: events at 40, 80 must not wake the hook; before the
+	// 120 event fires the 100 boundary fires exactly at 100; 130 is
+	// inside the next period; before 250 fires the 200 boundary fires
+	// exactly at 200; nothing is left to run past 250, so no 300.
+	p.SetSampleHook(100*Nanosecond, func(now Time) {
+		if e.Now() != now {
+			t.Errorf("hook at %v saw the clock at %v", now, e.Now())
 		}
-		return next
-	}, 100*Nanosecond)
+		wakes = append(wakes, now)
+	})
 	for _, at := range []Time{40, 80, 120, 130, 250} {
 		e.At(at*Nanosecond, func() {})
 	}
-	e.Run()
+	p.Run()
 	want := []Time{100 * Nanosecond, 200 * Nanosecond}
 	if len(wakes) != len(want) || wakes[0] != want[0] || wakes[1] != want[1] {
-		t.Fatalf("probe wakes = %v, want %v", wakes, want)
+		t.Fatalf("sample wakes = %v, want %v", wakes, want)
 	}
 }
 
+// A hook that uninstalls itself fires once.
 func TestEngineProbeDisarmsOnStaleWake(t *testing.T) {
 	e := NewEngine()
+	p := loop(t, e)
 	calls := 0
-	e.SetProbe(func(now Time) Time {
+	p.SetSampleHook(10*Nanosecond, func(Time) {
 		calls++
-		return 0 // not after now: disarm
-	}, 10*Nanosecond)
+		p.SetSampleHook(0, nil)
+	})
 	e.At(20*Nanosecond, func() {})
 	e.At(30*Nanosecond, func() {})
-	e.Run()
+	p.Run()
 	if calls != 1 {
-		t.Fatalf("disarmed probe fired %d times, want 1", calls)
+		t.Fatalf("uninstalled hook fired %d times, want 1", calls)
 	}
 }
 
 // ---- Quiescence fast-forward edge cases --------------------------------
 
-// A monitor probe armed across a multi-millisecond idle gap must see
-// every sample boundary at its exact virtual time when RunUntil crosses
-// the whole gap in one quiescence fast-forward.
+// A monitor sampling across a multi-millisecond idle gap must see every
+// boundary at its exact virtual time when RunUntil crosses the whole gap
+// in one quiescence fast-forward.
 func TestRunUntilFastForwardFiresEveryProbeBoundary(t *testing.T) {
 	e := NewEngine()
+	p := loop(t, e)
 	var wakes []Time
 	period := 10 * Microsecond
-	e.SetProbe(func(now Time) Time {
-		wakes = append(wakes, now)
-		return now + period
-	}, period)
-	e.RunUntil(8 * Millisecond) // empty queue: pure fast-forward
+	p.SetSampleHook(period, func(now Time) { wakes = append(wakes, now) })
+	p.RunUntil(8 * Millisecond) // empty queue: pure fast-forward
 	if len(wakes) != 800 {
-		t.Fatalf("fast-forward fired %d probe wakes, want 800", len(wakes))
+		t.Fatalf("fast-forward fired %d samples, want 800", len(wakes))
 	}
 	for i, w := range wakes {
 		if want := Time(i+1) * period; w != want {
-			t.Fatalf("wake %d at %v, want %v", i, w, want)
+			t.Fatalf("sample %d at %v, want %v", i, w, want)
 		}
 	}
 	if e.Now() != 8*Millisecond {
@@ -384,18 +397,19 @@ func TestRunUntilFastForwardFiresEveryProbeBoundary(t *testing.T) {
 	}
 }
 
-// A watchdog probe that schedules the timeout event it guards must see
+// A watchdog sample that schedules the timeout event it guards must see
 // that event execute mid-jump at its own virtual instant, not get
 // dragged to the deadline.
 func TestRunUntilProbeScheduledEventsRunDuringJump(t *testing.T) {
 	e := NewEngine()
+	p := loop(t, e)
 	var probeAt, eventAt Time
-	e.SetProbe(func(now Time) Time {
+	p.SetSampleHook(5*Microsecond, func(now Time) {
 		probeAt = now
 		e.After(7*Microsecond, func() { eventAt = e.Now() })
-		return 0 // one-shot
-	}, 5*Microsecond)
-	e.RunUntil(1 * Millisecond)
+		p.SetSampleHook(0, nil) // one-shot
+	})
+	p.RunUntil(1 * Millisecond)
 	if probeAt != 5*Microsecond {
 		t.Fatalf("watchdog woke at %v, want 5us", probeAt)
 	}
@@ -407,23 +421,24 @@ func TestRunUntilProbeScheduledEventsRunDuringJump(t *testing.T) {
 	}
 }
 
-// An event a probe schedules beyond the deadline stays pending: the
+// An event a sample schedules beyond the deadline stays pending: the
 // fast-forward stops at the deadline, never over-runs it.
 func TestRunUntilProbeEventBeyondDeadlineStaysPending(t *testing.T) {
 	e := NewEngine()
+	p := loop(t, e)
 	ran := false
-	e.SetProbe(func(now Time) Time {
+	p.SetSampleHook(5*Microsecond, func(Time) {
 		e.After(50*Microsecond, func() { ran = true })
-		return 0
-	}, 5*Microsecond)
-	e.RunUntil(10 * Microsecond)
+		p.SetSampleHook(0, nil)
+	})
+	p.RunUntil(10 * Microsecond)
 	if ran {
 		t.Fatal("event past the deadline ran during the jump")
 	}
 	if e.Now() != 10*Microsecond {
 		t.Fatalf("clock at %v, want the 10us deadline", e.Now())
 	}
-	e.Run()
+	p.Run()
 	if !ran {
 		t.Fatal("pending event was lost by the fast-forward")
 	}
@@ -432,37 +447,45 @@ func TestRunUntilProbeEventBeyondDeadlineStaysPending(t *testing.T) {
 	}
 }
 
-// AlignTo is the fault campaign's parking jump: probe wakes it crosses
-// fire at their exact times even though no events may run, and the
-// probe stays armed for the boundary past the park point.
+// An action cut parks the clock with AlignTo: sample boundaries the jump
+// crosses fire at their exact times first, the action sees the clock on
+// its own time, and the hook stays installed for the boundary past it.
 func TestAlignToFiresCrossedProbeWakesExactly(t *testing.T) {
-	e := NewEngine()
-	var wakes []Time
-	e.SetProbe(func(now Time) Time {
-		wakes = append(wakes, now)
-		return now + 20*Microsecond
-	}, 20*Microsecond)
-	e.AlignTo(70 * Microsecond)
-	if len(wakes) != 3 || wakes[0] != 20*Microsecond || wakes[1] != 40*Microsecond || wakes[2] != 60*Microsecond {
-		t.Fatalf("AlignTo fired wakes %v, want exactly 20us/40us/60us", wakes)
-	}
-	if e.Now() != 70*Microsecond {
-		t.Fatalf("clock parked at %v, want 70us", e.Now())
-	}
-	e.RunUntil(90 * Microsecond)
-	if len(wakes) != 4 || wakes[3] != 80*Microsecond {
-		t.Fatalf("post-align wake sequence %v, want a fourth at 80us", wakes)
+	for _, n := range []int{1, 2} {
+		engs := make([]*Engine, n)
+		for i := range engs {
+			engs[i] = NewEngine()
+		}
+		p := loop(t, engs...)
+		var wakes []Time
+		p.SetSampleHook(20*Microsecond, func(now Time) { wakes = append(wakes, now) })
+		actAt, firedAt := 70*Microsecond, Time(-1)
+		p.SetActionHook(func() (Time, bool) { return actAt, firedAt < 0 },
+			func(now Time) { firedAt = p.Now() })
+		p.Run() // the pending action is the only work
+		if len(wakes) != 3 || wakes[0] != 20*Microsecond || wakes[1] != 40*Microsecond || wakes[2] != 60*Microsecond {
+			t.Fatalf("%d engines: action jump fired samples %v, want exactly 20us/40us/60us", n, wakes)
+		}
+		if firedAt != actAt || p.Now() != actAt {
+			t.Fatalf("%d engines: action saw the clock at %v, run ended at %v, want 70us", n, firedAt, p.Now())
+		}
+		p.RunUntil(90 * Microsecond)
+		if len(wakes) != 4 || wakes[3] != 80*Microsecond {
+			t.Fatalf("%d engines: post-action samples %v, want a fourth at 80us", n, wakes)
+		}
 	}
 }
 
-// A probe that schedules an event before the align point defeats the
-// alignment; AlignTo must refuse loudly rather than skip the event.
+// A sample that schedules an event before a later align point defeats
+// the alignment; AlignTo must refuse loudly rather than skip the event.
 func TestAlignToPanicsWhenProbeSchedulesEarlierEvent(t *testing.T) {
 	e := NewEngine()
-	e.SetProbe(func(now Time) Time {
+	p := loop(t, e)
+	p.SetSampleHook(10*Microsecond, func(Time) {
 		e.After(Nanosecond, func() {})
-		return 0
-	}, 10*Microsecond)
+		p.SetSampleHook(0, nil)
+	})
+	p.RunUntil(10 * Microsecond)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("AlignTo skipped a pending event without panicking")

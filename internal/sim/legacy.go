@@ -55,8 +55,8 @@ func (q *legacyQueue) push(at, sat Time, pri, seq uint64, h Handler, arg EventAr
 	heap.Push(&q.h, legacyEvent{at: at, sat: sat, pri: pri, seq: seq, h: h, arg: arg})
 }
 
-func (q *legacyQueue) pop() (legacyEvent, bool) {
-	if len(q.h) == 0 {
+func (q *legacyQueue) popUntil(limit Time) (legacyEvent, bool) {
+	if len(q.h) == 0 || q.h[0].at > limit {
 		return legacyEvent{}, false
 	}
 	return heap.Pop(&q.h).(legacyEvent), true

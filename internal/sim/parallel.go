@@ -17,6 +17,13 @@
 // consumer's clock stays parked until mail arrives, so a post landing
 // mid-widened-window is still delivered and executed at its exact
 // virtual time.
+//
+// This is the simulator's one run loop: a serial cluster is its
+// one-partition case (no workers, no mailboxes; the lone partition
+// drains each stretch between cuts in one window). Monitor samples and
+// scripted fault actions are cuts of the timeline at an instant t: every
+// window ends strictly before t, every clock is aligned onto t, and the
+// sample fires first, the actions second, before any event at t.
 package sim
 
 import (
@@ -138,8 +145,8 @@ func (mb *Mailbox) drainInto(e *Engine) {
 // Parallel advances a set of partition engines in conservative time
 // windows. It is driven from a single control goroutine (the same one
 // that owns the engines between runs); worker goroutines are spawned
-// once, on the first run, and park on their command channels between
-// windows, so repeated runs pay no spawn cost.
+// on the first window with more than one active partition, so a
+// one-partition run never starts one.
 type Parallel struct {
 	engs []*Engine
 	look Time
@@ -272,11 +279,15 @@ func (p *Parallel) Stats() *ParallelStats { return p.stats }
 // repatriate cross-partition packet-pool releases.
 func (p *Parallel) SetBarrierHook(fn func()) { p.barrier = fn }
 
-// SetSampleHook arranges for fn(now) to be called from the serial
-// section whenever the global clock crosses a multiple of every. It
-// mirrors Engine.SetProbe for the parallel executor: windows are
-// clamped to sample boundaries, so fn observes a quiesced simulation at
-// (or just past) each boundary.
+// SetSampleHook arranges for fn(now) to be called at every multiple of
+// every past the current time, as a cut of the timeline: the
+// coordinator runs every event strictly before the boundary, aligns
+// every partition clock onto it and calls fn with every worker parked,
+// before any event at the boundary. A jump across an idle gap fires
+// each crossed boundary at its own exact time. Samples are not work:
+// Run stops sampling once no events or actions remain, while RunUntil
+// fires every boundary up to its deadline. A nil fn or non-positive
+// every uninstalls the hook.
 func (p *Parallel) SetSampleHook(every Time, fn func(now Time)) {
 	if fn == nil || every <= 0 {
 		p.sampleFn = nil
@@ -289,13 +300,12 @@ func (p *Parallel) SetSampleHook(every Time, fn func(now Time)) {
 
 // SetActionHook installs a scripted-action source (a fault campaign).
 // next reports the earliest pending action's absolute time; fire applies
-// every action due at that time. The coordinator clamps each window to
-// end strictly before the next action, aligns all partition clocks to
-// the action time, and calls fire in the serial section with every
-// worker parked — so an action observes exactly the events before its
-// timestamp and none at or after it, the same cut a serial engine
-// produces. fire may only schedule follow-up actions strictly later
-// than now.
+// every action due at that time. An action is a cut like a sample (see
+// SetSampleHook): it observes exactly the events before its timestamp
+// and none at or after it, and a sample at the same instant fires
+// first. Pending actions count as work, so a rejoin scheduled on an
+// idle fabric still fires. fire may only schedule follow-up actions
+// strictly later than now.
 func (p *Parallel) SetActionHook(next func() (Time, bool), fire func(now Time)) {
 	p.actionNext = next
 	p.actionFire = fire
@@ -394,8 +404,9 @@ func (p *Parallel) execWindow(idx int, w Time) {
 
 // run is the coordinator loop. Each iteration: flip dirty mailboxes,
 // find each partition's earliest pending timestamp (events or
-// undelivered mail), then execute a per-partition window on every
-// partition that has work, then run the serial barrier section.
+// undelivered mail) and the next cut (sample or action), then either
+// fire the cut or execute a per-partition window on every partition
+// that has work, then run the serial barrier section.
 //
 // Window rule: partition p can only be influenced by a peer q through
 // mail that costs at least the global lookahead from q's earliest
@@ -404,11 +415,11 @@ func (p *Parallel) execWindow(idx int, w Time) {
 // global minimum that is the classical bound tnext+look; the holder
 // itself may run ahead to the second-smallest horizon plus lookahead.
 // When every peer is idle the bound degenerates to the run deadline:
-// the lone active partition fast-forwards through its remaining work
-// in a single window instead of draining one lookahead-sized window
-// per iteration. The producer-side cap (Mailbox.Post) covers the one
-// influence the peer horizons miss — a chain leaving p and returning
-// to it within the same window.
+// the lone active partition (always, on a one-partition run) drains
+// its remaining work in a single window. The producer-side cap
+// (Mailbox.Post) covers the one influence the peer horizons miss — a
+// chain leaving p and returning to it within the same window. Every
+// window also ends strictly before the next cut.
 func (p *Parallel) run(deadline Time, bounded bool) {
 	defer p.stopWorkers()
 	st := p.stats
@@ -429,14 +440,10 @@ func (p *Parallel) run(deadline Time, bounded bool) {
 					next = mb.readyMin
 				}
 			}
-			if next < maxTime {
-				p.active[pi] = true
-				have = true
+			if t, ok := p.engs[pi].nextTime(); ok && t < next {
+				next = t
 			}
-			if t, ok := p.engs[pi].nextTime(); ok {
-				if t < next {
-					next = t
-				}
+			if next < maxTime {
 				p.active[pi] = true
 				have = true
 			}
@@ -445,34 +452,32 @@ func (p *Parallel) run(deadline Time, bounded bool) {
 				tnext = next
 			}
 		}
-		// Scripted actions (fault campaigns) cut the timeline exactly at
-		// their timestamp: fire when nothing earlier is pending, otherwise
-		// clamp the window to end strictly before the action.
-		aat, aok := Time(0), false
-		if p.actionNext != nil {
-			aat, aok = p.actionNext()
-			if aok && bounded && aat > deadline {
-				aok = false
-			}
+		if bounded && tnext > deadline {
+			have = false
 		}
-		if aok && (!have || aat <= tnext) {
+		cut, fire := p.nextCut(have, deadline, bounded)
+		if cut < maxTime && (!have || cut <= tnext) {
+			// Fire the cut on a quiesced timeline: every event before it
+			// has run, none at or after it has.
+			if p.barrier != nil {
+				p.barrier()
+			}
 			for _, e := range p.engs {
-				e.AlignTo(aat)
+				e.AlignTo(cut)
 			}
-			// Fire every sample boundary the jump crosses, each at its
-			// exact time (matching the serial engine's probe semantics).
-			for p.sampleFn != nil && p.sampleNext <= aat {
-				at := p.sampleNext
+			if p.sampleFn != nil && p.sampleNext == cut {
 				p.sampleNext += p.sampleEvery
-				p.sampleFn(at)
+				p.sampleFn(cut)
 			}
-			p.actionFire(aat)
+			if fire {
+				p.actionFire(cut)
+			}
 			if st != nil {
 				st.serial.Add(time.Since(serialT0).Nanoseconds())
 			}
 			continue
 		}
-		if !have || (bounded && tnext > deadline) {
+		if !have {
 			if st != nil {
 				st.serial.Add(time.Since(serialT0).Nanoseconds())
 			}
@@ -492,8 +497,7 @@ func (p *Parallel) run(deadline Time, bounded bool) {
 		}
 
 		// wmin is the time every active partition is guaranteed to have
-		// reached after the window — the instant a pending sample hook
-		// observes a fully quiesced simulation.
+		// reached after the window (window-width accounting).
 		wmin := maxTime
 		for pi := range p.engs {
 			if !p.active[pi] {
@@ -507,11 +511,8 @@ func (p *Parallel) run(deadline Time, bounded bool) {
 			if w < other { // overflow (peers idle: other == maxTime)
 				w = maxTime
 			}
-			if p.sampleFn != nil && p.sampleNext > tnext && w > p.sampleNext {
-				w = p.sampleNext
-			}
-			if aok && w >= aat {
-				w = aat - 1 // aat > tnext here, so the window stays non-empty
+			if cut < maxTime && w >= cut {
+				w = cut - 1 // cut > tnext here, so the window stays non-empty
 			}
 			if bounded && w > deadline {
 				w = deadline
@@ -558,39 +559,46 @@ func (p *Parallel) run(deadline Time, bounded bool) {
 			st.noteWindow(p.active)
 		}
 
-		// Serial section: merge shards, repatriate pool releases, sample.
+		// Serial section: merge shards, repatriate pool releases.
 		if p.barrier != nil {
 			p.barrier()
 		}
-		if p.sampleFn != nil && p.sampleNext <= wmin {
-			for p.sampleNext <= wmin {
-				p.sampleNext += p.sampleEvery
-			}
-			p.sampleFn(wmin)
-		}
 	}
 
-	// Align every clock to the common end time. The jump is a
-	// quiescence fast-forward: every sample boundary it crosses fires
-	// its own call at its exact virtual time (mirrors the serial
-	// engine's exact-wake probe semantics), so an idle tail — e.g.
-	// doorbell receivers parked with no events pending — still produces
-	// the full monitor sample train.
+	// Align every clock to the common end time: the deadline of a
+	// bounded run, the latest partition clock otherwise. No event is
+	// pending before it, and every cut up to it has fired.
 	target := p.Now()
 	if bounded && deadline > target {
 		target = deadline
 	}
 	for _, e := range p.engs {
-		e.RunUntil(target)
+		e.AlignTo(target)
 	}
 	if p.barrier != nil {
-		p.barrier()
+		p.barrier() // publish what the last cut emitted
 	}
-	for p.sampleFn != nil && p.sampleNext <= target {
-		at := p.sampleNext
-		p.sampleNext += p.sampleEvery
-		p.sampleFn(at)
+}
+
+// nextCut reports the earliest pending cut (maxTime when none) and
+// whether scripted actions are due at it. An action always counts; a
+// sample counts on a bounded run up to the deadline, and on an
+// unbounded run only while work (events, mail or actions) remains —
+// samples alone never keep a run going.
+func (p *Parallel) nextCut(have bool, deadline Time, bounded bool) (Time, bool) {
+	cut, fire := maxTime, false
+	if p.actionNext != nil {
+		if at, ok := p.actionNext(); ok && (!bounded || at <= deadline) {
+			cut, fire = at, true
+		}
 	}
+	if s := p.sampleNext; p.sampleFn != nil && s <= cut {
+		if (bounded && s <= deadline) || (!bounded && (have || fire)) {
+			fire = fire && s == cut // a later action waits for its own cut
+			cut = s
+		}
+	}
+	return cut, fire
 }
 
 // startWorkers spawns one worker goroutine per partition.

@@ -181,29 +181,70 @@ func TestParallelRejectsZeroLookahead(t *testing.T) {
 	}
 }
 
+// Samples land exactly on the boundaries, an event exactly on a
+// boundary runs after that sample, and the run stops sampling once the
+// events drain — on one engine and on two.
 func TestParallelSampleHook(t *testing.T) {
-	ea, eb := NewEngine(), NewEngine()
-	tick := &serialRelay{delta: Microsecond}
-	tick.peer = tick
-	ea.Schedule(Microsecond, tick, EventArg{I: 9})
-	p, err := NewParallel([]*Engine{ea, eb}, [][]*Mailbox{nil, nil}, 2*Nanosecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var samples []Time
-	p.SetSampleHook(3*Microsecond, func(now Time) { samples = append(samples, now) })
-	p.Run()
-	if len(samples) == 0 {
-		t.Fatalf("sample hook never fired")
-	}
-	for i, s := range samples {
-		if i > 0 && s <= samples[i-1] {
-			t.Fatalf("samples not strictly increasing: %v", samples)
+	for _, n := range []int{1, 2} {
+		engs := make([]*Engine, n)
+		for i := range engs {
+			engs[i] = NewEngine()
+		}
+		for i, at := range []Time{1, 2, 3, 10, 11} {
+			engs[i%n].At(at*Microsecond, func() {})
+		}
+		p := loop(t, engs...)
+		var samples []Time
+		var fired []uint64
+		p.SetSampleHook(3*Microsecond, func(now Time) {
+			samples = append(samples, now)
+			fired = append(fired, p.Fired())
+		})
+		p.Run()
+		want := []Time{3 * Microsecond, 6 * Microsecond, 9 * Microsecond}
+		wantFired := []uint64{2, 3, 3}
+		if len(samples) != len(want) {
+			t.Fatalf("%d engines: samples at %v, want %v", n, samples, want)
+		}
+		for i := range want {
+			if samples[i] != want[i] || fired[i] != wantFired[i] {
+				t.Fatalf("%d engines: samples at %v with %v events fired, want %v with %v",
+					n, samples, fired, want, wantFired)
+			}
+		}
+		if p.Now() != 11*Microsecond || p.Fired() != 5 {
+			t.Fatalf("%d engines: run ended at %v after %d events, want 11us after 5", n, p.Now(), p.Fired())
 		}
 	}
-	// Events run to 10us; boundaries at 3, 6, 9us must all be covered.
-	if samples[len(samples)-1] < 9*Microsecond {
-		t.Fatalf("last sample %v before final boundary", samples[len(samples)-1])
+}
+
+// A sample and an action on the same instant form one cut: the sample
+// fires first, then the action, both before the events at that instant.
+func TestCutFiresSampleBeforeAction(t *testing.T) {
+	for _, n := range []int{1, 2} {
+		engs := make([]*Engine, n)
+		for i := range engs {
+			engs[i] = NewEngine()
+		}
+		var cuts []string // coordinator only
+		acted := false
+		sawAction := make([]bool, n) // one slot per engine
+		for i := range engs {
+			engs[i].At(6*Microsecond, func() { sawAction[i] = acted })
+		}
+		p := loop(t, engs...)
+		p.SetSampleHook(3*Microsecond, func(now Time) { cuts = append(cuts, "sample@"+now.String()) })
+		p.SetActionHook(func() (Time, bool) { return 6 * Microsecond, !acted },
+			func(now Time) { acted = true; cuts = append(cuts, "action@"+now.String()) })
+		p.Run()
+		if got, want := strings.Join(cuts, " "), "sample@3us sample@6us action@6us"; got != want {
+			t.Fatalf("%d engines: cut order %q, want %q", n, got, want)
+		}
+		for i, ok := range sawAction {
+			if !ok {
+				t.Fatalf("%d engines: engine %d's event at the cut ran before the action", n, i)
+			}
+		}
 	}
 }
 

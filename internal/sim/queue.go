@@ -243,14 +243,18 @@ func (l *ladder) refill() {
 	}
 }
 
-// pop removes and returns the earliest (at, sat, pri, seq) event.
-func (l *ladder) pop() (entry, bool) {
+// popUntil removes and returns the earliest (at, sat, pri, seq) event
+// if its time is at or before limit.
+func (l *ladder) popUntil(limit Time) (entry, bool) {
 	if l.n == 0 {
 		return entry{}, false
 	}
 	l.position()
 	b := &l.buckets[l.cur]
 	e := (*b)[len(*b)-1]
+	if e.at > limit {
+		return entry{}, false
+	}
 	*b = (*b)[:len(*b)-1]
 	l.n--
 	l.nearN--

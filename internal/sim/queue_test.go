@@ -196,49 +196,49 @@ func TestLegacyEngineSchedulingIntoPastPanics(t *testing.T) {
 	e.Run()
 }
 
-// An armed probe whose wake time falls between the last event and the
-// RunUntil deadline must fire on the final clock jump — at its exact
-// wake time, not at the deadline the fast-forward lands on.
+// A sample boundary between the last event and the RunUntil deadline
+// must fire on the final clock jump — at its exact time, not at the
+// deadline the fast-forward lands on — on either queue.
 func TestRunUntilFiresProbeOnFinalClockJump(t *testing.T) {
 	for _, mk := range []func() *Engine{NewEngine, NewLegacyEngine} {
 		e := mk()
-		var wakes []Time
-		e.SetProbe(func(now Time) Time {
-			wakes = append(wakes, now)
-			return now + 100*Nanosecond
-		}, 50*Nanosecond)
+		p := loop(t, e)
 		e.At(10*Nanosecond, func() {})
-		e.RunUntil(80 * Nanosecond)
-		// The 10ns event is before the 50ns wake; the jump to the 80ns
-		// deadline crosses the wake, which fires exactly at 50ns.
-		if len(wakes) != 1 || wakes[0] != 50*Nanosecond {
-			t.Fatalf("wakes after first RunUntil = %v, want [50ns]", wakes)
+		var wakes []Time
+		p.SetSampleHook(100*Nanosecond, func(now Time) { wakes = append(wakes, now) })
+		p.RunUntil(150 * Nanosecond)
+		// The 10ns event is before the 100ns boundary; the jump to the
+		// 150ns deadline crosses the boundary, which fires exactly at
+		// 100ns.
+		if len(wakes) != 1 || wakes[0] != 100*Nanosecond {
+			t.Fatalf("samples after first RunUntil = %v, want [100ns]", wakes)
 		}
-		if e.Now() != 80*Nanosecond {
-			t.Fatalf("Now() = %v, want 80ns", e.Now())
+		if e.Now() != 150*Nanosecond {
+			t.Fatalf("Now() = %v, want 150ns", e.Now())
 		}
-		// Probe re-armed at 150ns: an event-free run to 200ns fires it
-		// at 150ns on the deadline jump.
-		e.RunUntil(200 * Nanosecond)
-		if len(wakes) != 2 || wakes[1] != 150*Nanosecond {
-			t.Fatalf("wakes after second RunUntil = %v, want [50ns 150ns]", wakes)
+		// An event-free run to 250ns fires the 200ns boundary on the
+		// deadline jump.
+		p.RunUntil(250 * Nanosecond)
+		if len(wakes) != 2 || wakes[1] != 200*Nanosecond {
+			t.Fatalf("samples after second RunUntil = %v, want [100ns 200ns]", wakes)
 		}
-		if e.Now() != 200*Nanosecond {
-			t.Fatalf("Now() = %v, want 200ns", e.Now())
+		if e.Now() != 250*Nanosecond {
+			t.Fatalf("Now() = %v, want 250ns", e.Now())
 		}
 	}
 }
 
 func TestRunUntilProbeDisarmOnFinalJump(t *testing.T) {
 	e := NewEngine()
+	p := loop(t, e)
 	calls := 0
-	e.SetProbe(func(now Time) Time {
+	p.SetSampleHook(50*Nanosecond, func(Time) {
 		calls++
-		return 0 // disarm
-	}, 50*Nanosecond)
-	e.RunUntil(100 * Nanosecond)
-	e.RunUntil(300 * Nanosecond)
+		p.SetSampleHook(0, nil)
+	})
+	p.RunUntil(100 * Nanosecond)
+	p.RunUntil(300 * Nanosecond)
 	if calls != 1 {
-		t.Fatalf("disarmed probe fired %d times, want 1", calls)
+		t.Fatalf("uninstalled hook fired %d times, want 1", calls)
 	}
 }

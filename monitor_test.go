@@ -676,3 +676,52 @@ func TestMPIAndFlapSeriesWithoutTracer(t *testing.T) {
 		t.Error("no link.state_changes after a two-flap campaign")
 	}
 }
+
+// TestMonitorIdleGapSerialMatchesParallel samples every 10µs across a
+// 200µs idle gap before the only event. Serially and at 2 workers the
+// run must return — a lone active partition facing an unbounded window
+// once spun forever computing its next sample — and record the same
+// flight-recorder windows, each closed on an exact boundary.
+func TestMonitorIdleGapSerialMatchesParallel(t *testing.T) {
+	run := func(opts ...tccluster.Option) []tccluster.RecorderWindow {
+		t.Helper()
+		topo, err := tccluster.Chain(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts = append(opts, tccluster.WithMonitor("", tccluster.MonitorSampleEvery(10*tccluster.Microsecond)))
+		c, err := tccluster.New(topo, tccluster.DefaultConfig(), opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		c.EngineFor(0).After(200*tccluster.Microsecond, func() {})
+		done := make(chan struct{})
+		go func() {
+			c.Run()
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-time.After(30 * time.Second):
+			t.Fatal("Run did not return within 30s")
+		}
+		return c.Monitor().Recorder().Windows()
+	}
+	serial, par := run(), run(tccluster.WithParallel(2))
+	if len(serial) != 20 {
+		t.Fatalf("serial run recorded %d windows, want 20", len(serial))
+	}
+	if len(par) != len(serial) {
+		t.Fatalf("parallel run recorded %d windows, serial %d", len(par), len(serial))
+	}
+	for i := range serial {
+		if serial[i].Start != par[i].Start || serial[i].End != par[i].End {
+			t.Fatalf("window %d: parallel [%v,%v], serial [%v,%v]",
+				i, par[i].Start, par[i].End, serial[i].Start, serial[i].End)
+		}
+		if i > 0 && serial[i].Duration() != 10*tccluster.Microsecond {
+			t.Fatalf("window %d spans %v, want 10us", i, serial[i].Duration())
+		}
+	}
+}
