@@ -78,9 +78,9 @@ scenario-smoke:
 
 # Short fuzz of the message-library wire format (frame build/parse and
 # receiver-side header classification) and the scenario serve block
-# (strict JSON decode + validation + config lowering). The committed
-# corpus runs on every plain `go test`; this target spends a little
-# extra time looking for new inputs.
+# (strict JSON decode + lowering: whatever Parse accepts, serve.Config
+# must accept too). The committed corpus runs on every plain `go test`;
+# this target spends a little extra time looking for new inputs.
 fuzz:
 	$(GO) test ./internal/msg -run=NONE -fuzz=FuzzFrameRoundTrip -fuzztime=10s
 	$(GO) test ./internal/msg -run=NONE -fuzz=FuzzHeaderClassification -fuzztime=10s

@@ -59,35 +59,52 @@ type Node struct {
 	ringFull atomic.Uint64 // msg.ring_full: see CountRingFull
 }
 
-// New builds and boots a cluster over the given topology. It returns an
-// error if the topology violates any architectural constraint: routing
-// loops, too many address intervals for the northbridge's MMIO register
-// file, or more external ports than the sockets can supply.
-func New(topo *topology.Topology, cfg Config) (*Cluster, error) {
+// Validate rejects a topology and configuration that cannot boot,
+// without building anything: socket and core counts, the worker count,
+// total and loop-free routing, the northbridge's MMIO ranges for
+// interval routing, and the 48-bit physical space. It returns cfg with
+// the defaults New would fill. New runs it first; spec layers call it
+// to reject a lowered spec before boot. The socket port budget is the
+// one architectural limit it leaves to New, which finds it while
+// assigning HT links.
+func Validate(topo *topology.Topology, cfg Config) (Config, error) {
 	if cfg.MemPerNode == 0 {
 		cfg = fillDefaults(cfg)
 	}
 	if cfg.SocketsPerNode < 1 || cfg.SocketsPerNode > nb.MaxNodes {
-		return nil, fmt.Errorf("core: %d sockets per node out of range 1..%d: %w", cfg.SocketsPerNode, nb.MaxNodes, errs.ErrBadConfig)
+		return cfg, fmt.Errorf("core: %d sockets per node out of range 1..%d: %w", cfg.SocketsPerNode, nb.MaxNodes, errs.ErrBadConfig)
 	}
 	if cfg.CoresPerSocket < 1 || cfg.CoresPerSocket > 8 {
-		return nil, fmt.Errorf("core: %d cores per socket out of range 1..8: %w", cfg.CoresPerSocket, errs.ErrBadConfig)
+		return cfg, fmt.Errorf("core: %d cores per socket out of range 1..8: %w", cfg.CoresPerSocket, errs.ErrBadConfig)
 	}
 	if cfg.Parallel < 0 {
-		return nil, fmt.Errorf("core: negative Parallel %d: %w", cfg.Parallel, errs.ErrBadConfig)
+		return cfg, fmt.Errorf("core: negative Parallel %d: %w", cfg.Parallel, errs.ErrBadConfig)
 	}
 	if cfg.Parallel > 1 && cfg.LegacyEventQueue {
-		return nil, fmt.Errorf("core: Parallel is incompatible with LegacyEventQueue — the legacy queue is the serial reference: %w", errs.ErrBadConfig)
+		return cfg, fmt.Errorf("core: Parallel is incompatible with LegacyEventQueue — the legacy queue is the serial reference: %w", errs.ErrBadConfig)
 	}
 	if err := topo.Validate(); err != nil {
-		return nil, err
+		return cfg, err
 	}
 	if err := topo.CheckIntervalRoutable(nb.NumMMIORanges - 1); err != nil {
-		return nil, err
+		return cfg, err
 	}
 	if uint64(topo.N())*cfg.MemPerNode > 1<<nb.PhysAddrBits {
-		return nil, fmt.Errorf("core: %d nodes x %#x bytes exceeds the 48-bit physical space (256 TB, §IV.D): %w",
+		return cfg, fmt.Errorf("core: %d nodes x %#x bytes exceeds the 48-bit physical space (256 TB, §IV.D): %w",
 			topo.N(), cfg.MemPerNode, errs.ErrBadConfig)
+	}
+	return cfg, nil
+}
+
+// New builds and boots a cluster over the given topology. It returns an
+// error if the topology violates any architectural constraint: routing
+// loops, too many address intervals for the northbridge's MMIO register
+// file (both checked by Validate), or more external ports than the
+// sockets can supply.
+func New(topo *topology.Topology, cfg Config) (*Cluster, error) {
+	cfg, err := Validate(topo, cfg)
+	if err != nil {
+		return nil, err
 	}
 
 	eng := sim.NewEngine()

@@ -176,9 +176,22 @@ func NewCampaign(actions ...Action) *Campaign {
 // Actions returns a copy of the campaign's actions.
 func (c *Campaign) Actions() []Action { return append([]Action(nil), c.actions...) }
 
-// validate checks one action's shape parameters (target ranges are the
-// injector's job — it knows the cluster).
-func (a Action) validate() error {
+// Validate checks every action against a cluster of nodes nodes and
+// links external links, without booting anything: shape parameters
+// (times, durations, rates, counts, periods) and target ranges.
+// NewInjector runs it first; spec layers call it with the topology's
+// node and link counts, since boot wires one external link per
+// topology link, in the topology's order.
+func (c *Campaign) Validate(nodes, links int) error {
+	for _, a := range c.actions {
+		if err := a.validate(nodes, links); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (a Action) validate(nodes, links int) error {
 	if a.at < 0 {
 		return fmt.Errorf("fault: %v: negative start time: %w", a, errs.ErrBadConfig)
 	}
@@ -200,6 +213,17 @@ func (a Action) validate() error {
 		if a.period <= 0 {
 			return fmt.Errorf("fault: %v: non-positive period: %w", a, errs.ErrBadConfig)
 		}
+	case KindDown:
+	case KindCrash:
+		if a.node < 0 || a.node >= nodes {
+			return fmt.Errorf("fault: %v: node outside [0,%d): %w", a, nodes, errs.ErrBadConfig)
+		}
+		return nil
+	default:
+		return fmt.Errorf("fault: %v: unknown kind: %w", a, errs.ErrBadConfig)
+	}
+	if a.link < 0 || a.link >= links {
+		return fmt.Errorf("fault: %v: link outside [0,%d): %w", a, links, errs.ErrBadConfig)
 	}
 	return nil
 }

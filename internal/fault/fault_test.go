@@ -52,7 +52,7 @@ func TestActionValidateRejectsBadShapes(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := tc.a.validate()
+			err := NewCampaign(tc.a).Validate(4, 4)
 			if !errors.Is(err, errs.ErrBadConfig) {
 				t.Fatalf("validate(%v) = %v, want ErrBadConfig", tc.a, err)
 			}
@@ -78,7 +78,7 @@ func TestActionValidateAcceptsGoodShapes(t *testing.T) {
 		NodeCrash(0, 0),
 		NodeCrashFor(0, us, us),
 	} {
-		if err := a.validate(); err != nil {
+		if err := NewCampaign(a).Validate(1, 1); err != nil {
 			t.Errorf("validate(%v) = %v, want nil", a, err)
 		}
 	}

@@ -2,10 +2,8 @@ package fault
 
 import (
 	"container/heap"
-	"fmt"
 	"sync/atomic"
 
-	"repro/internal/errs"
 	"repro/internal/ht"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -102,66 +100,48 @@ type Injector struct {
 func NewInjector(fab Fabric, campaign *Campaign) (*Injector, error) {
 	inj := &Injector{fab: fab, links: fab.ExternalLinks()}
 	inj.changes = make([]atomic.Uint64, len(inj.links))
+	if err := campaign.Validate(fab.N(), len(inj.links)); err != nil {
+		return nil, err
+	}
 	floor := fab.Now() + 1
-	for _, a := range campaign.Actions() {
-		if err := a.validate(); err != nil {
-			return nil, err
-		}
-		if err := inj.expand(a, floor); err != nil {
-			return nil, err
-		}
+	for _, a := range campaign.actions {
+		inj.expand(a, floor)
 	}
 	heap.Init(&inj.pending)
 	return inj, nil
 }
 
-// expand turns one campaign action into primitive timeline ops.
-func (inj *Injector) expand(a Action, floor sim.Time) error {
+// expand turns one validated campaign action into primitive timeline
+// ops. A crash downs every external link of the node; every node of a
+// routable topology has at least one.
+func (inj *Injector) expand(a Action, floor sim.Time) {
 	at := a.at
 	if at < floor {
 		at = floor
 	}
 	switch a.kind {
 	case KindDegrade:
-		if err := inj.checkLink(a); err != nil {
-			return err
-		}
 		inj.push(op{at: at, kind: opDegrade, link: a.link, rate: a.rate, penalty: a.penalty})
 		if a.dur > 0 {
 			inj.push(op{at: at + a.dur, kind: opRestore, link: a.link})
 		}
 	case KindDown:
-		if err := inj.checkLink(a); err != nil {
-			return err
-		}
 		inj.push(op{at: at, kind: opDown, link: a.link})
 		if a.dur > 0 {
 			inj.push(op{at: at + a.dur, kind: opRetrain, link: a.link})
 		}
 	case KindFlap:
-		if err := inj.checkLink(a); err != nil {
-			return err
-		}
 		for i := 0; i < a.count; i++ {
 			start := at + sim.Time(i)*a.period
 			inj.push(op{at: start, kind: opDown, link: a.link})
 			inj.push(op{at: start + a.period/2, kind: opRetrain, link: a.link})
 		}
 	case KindRetrainStorm:
-		if err := inj.checkLink(a); err != nil {
-			return err
-		}
 		for i := 0; i < a.count; i++ {
 			inj.push(op{at: at + sim.Time(i)*a.period, kind: opRetrain, link: a.link})
 		}
 	case KindCrash:
 		ids := inj.nodeLinks(a.node)
-		if a.node < 0 || a.node >= inj.fab.N() {
-			return fmt.Errorf("fault: %v: node outside [0,%d): %w", a, inj.fab.N(), errs.ErrBadConfig)
-		}
-		if len(ids) == 0 {
-			return fmt.Errorf("fault: %v: node has no external links: %w", a, errs.ErrBadConfig)
-		}
 		for _, id := range ids {
 			inj.push(op{at: at, kind: opDown, link: id})
 		}
@@ -170,17 +150,7 @@ func (inj *Injector) expand(a Action, floor sim.Time) error {
 				inj.push(op{at: at + a.dur, kind: opRetrain, link: id})
 			}
 		}
-	default:
-		return fmt.Errorf("fault: %v: unknown kind: %w", a, errs.ErrBadConfig)
 	}
-	return nil
-}
-
-func (inj *Injector) checkLink(a Action) error {
-	if a.link < 0 || a.link >= len(inj.links) {
-		return fmt.Errorf("fault: %v: link outside [0,%d): %w", a, len(inj.links), errs.ErrBadConfig)
-	}
-	return nil
 }
 
 // nodeLinks lists the external link ids with node on either end.

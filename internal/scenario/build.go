@@ -67,29 +67,22 @@ func (c *ConfigSpec) kernelOptions() tccluster.KernelOptions {
 	return kopt
 }
 
-// action lowers one fault spec to the WithFaults vocabulary.
+// action lowers one fault spec to the WithFaults vocabulary, value for
+// value: zero keeps the fault default (permanent, link penalty), and
+// the campaign's Validate rejects what cannot run.
 func (f FaultSpec) action() (tccluster.FaultAction, error) {
 	at, dur := nsToTime(f.AtNS), nsToTime(f.ForNS)
 	switch f.Kind {
 	case "link-degrade":
-		if f.PenaltyNS > 0 {
-			return tccluster.LinkDegradeWithPenalty(f.Link, at, dur, f.Rate, nsToTime(f.PenaltyNS)), nil
-		}
-		return tccluster.LinkDegrade(f.Link, at, dur, f.Rate), nil
+		return tccluster.LinkDegradeWithPenalty(f.Link, at, dur, f.Rate, nsToTime(f.PenaltyNS)), nil
 	case "link-down":
-		if f.ForNS > 0 {
-			return tccluster.LinkDownFor(f.Link, at, dur), nil
-		}
-		return tccluster.LinkDown(f.Link, at), nil
+		return tccluster.LinkDownFor(f.Link, at, dur), nil
 	case "link-flap":
 		return tccluster.LinkFlap(f.Link, at, f.Count, nsToTime(f.PeriodNS)), nil
 	case "retrain-storm":
 		return tccluster.RetrainStorm(f.Link, at, f.Count, nsToTime(f.PeriodNS)), nil
 	case "node-crash":
-		if f.ForNS > 0 {
-			return tccluster.NodeCrashFor(f.Node, at, dur), nil
-		}
-		return tccluster.NodeCrash(f.Node, at), nil
+		return tccluster.NodeCrashFor(f.Node, at, dur), nil
 	default:
 		return tccluster.FaultAction{}, badf("unknown fault kind %q", f.Kind)
 	}
@@ -114,6 +107,7 @@ func (s *Scenario) lower() (*buildParams, error) {
 	}
 	cfg := tccluster.DefaultConfig()
 	s.Config.apply(&cfg)
+	cfg.Parallel = s.Parallel
 	p := &buildParams{Topo: topo, Cfg: cfg, Kopt: s.Config.kernelOptions()}
 	for _, f := range s.Faults {
 		a, err := f.action()
@@ -146,12 +140,11 @@ func (s *Scenario) lower() (*buildParams, error) {
 }
 
 // build boots a cluster from lowered parameters, applying the
-// scenario-wide seed/parallel/tracer knobs.
+// scenario-wide seed and tracer knobs.
 func (s *Scenario) build(p *buildParams, tracer tccluster.Tracer) (*tccluster.Cluster, error) {
 	opts := []tccluster.Option{
 		tccluster.WithKernelOptions(p.Kopt),
 		tccluster.WithSeed(s.Seed),
-		tccluster.WithParallel(s.Parallel),
 	}
 	if tracer != nil {
 		opts = append(opts, tccluster.WithTracer(tracer))
@@ -175,7 +168,7 @@ func (s *Scenario) Build() (*tccluster.Cluster, func(io.Writer) error, error) {
 	}
 	for _, w := range s.Workloads {
 		if workloads[w.Kind].standalone {
-			return nil, nil, badf("%s: standalone workload %q builds its own clusters; use Run", s.Name, w.Kind)
+			return nil, nil, s.fail(badf("standalone workload %q builds its own clusters; use Run", w.Kind))
 		}
 	}
 	rc, err := newRunCtx(s)

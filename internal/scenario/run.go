@@ -44,8 +44,9 @@ type workloadDef struct {
 	// standalone workloads build their own clusters (scene by scene)
 	// instead of sharing the scenario's primary cluster.
 	standalone bool
-	// validate rejects spec/workload combinations that cannot run.
-	validate func(*Scenario, *WorkloadSpec) error
+	// validate rejects a workload block that cannot run on the lowered
+	// topology, through the check of the layer that runs it.
+	validate func(*Scenario, *tccluster.Topology, *WorkloadSpec) error
 	// run drives the workload; callbacks report failures through
 	// runCtx.saveErr, checked after every drain.
 	run func(*runCtx, *WorkloadSpec) error
@@ -54,8 +55,8 @@ type workloadDef struct {
 // workloads is the kind registry. Validate consults it, so adding an
 // entry here is all a new workload needs.
 var workloads = map[string]workloadDef{
-	"pingpong":       {validate: validatePingpong, run: runPingpong},
-	"ringshift":      {validate: validateRingshift, run: runRingshift},
+	"pingpong":       {run: runPingpong},
+	"ringshift":      {run: runRingshift},
 	"allreduce":      {run: runAllreduce},
 	"cg":             {run: runCG},
 	"heat2d":         {run: runHeat2D},
@@ -63,7 +64,7 @@ var workloads = map[string]workloadDef{
 	"collectives":    {validate: validateCollectives, run: runCollectives},
 	"failure-tour":   {standalone: true, run: runFailureTour},
 	"fault-recovery": {validate: validateFaultRecovery, run: runFaultRecovery},
-	"serve":          {validate: validateServe, run: runServe},
+	"serve":          {validate: checkServe, run: runServe},
 }
 
 // runCtx carries one scenario execution: the lazily built primary

@@ -11,14 +11,25 @@
 // serial/parallel determinism of whole scenario runs. The JSON form is
 // strict — unknown fields and unsupported versions are rejected — so an
 // archived spec either reproduces its run exactly or fails loudly.
+//
+// Validation is lowering. Validate turns the spec into the topology,
+// config, fault actions, serve configs and traffic patterns Build would
+// use, then hands each to the check of the layer that owns its rules.
+// The package keeps only the rules no other layer knows: the schema
+// itself, the workload registry, and where the fault-recovery channel
+// sits. The socket port budget is found while wiring, so it stays a
+// boot-time error.
 package scenario
 
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/errs"
+	"repro/internal/fault"
 )
 
 // SpecVersion is the scenario schema version this package reads and
@@ -321,75 +332,84 @@ func (s *Scenario) Clone() *Scenario {
 	return &out
 }
 
-// badf wraps a validation failure in ErrBadConfig.
+// badf builds a validation failure wrapping ErrBadConfig; fail names
+// the scenario it belongs to.
 func badf(format string, args ...any) error {
-	return fmt.Errorf("scenario: "+format+": %w", append(args, errs.ErrBadConfig)...)
+	return fmt.Errorf(format+": %w", append(args, errs.ErrBadConfig)...)
 }
 
-// Validate checks the spec's internal consistency without building
-// anything. It does not mutate the scenario.
+// fail names the scenario in a validation failure and makes sure it
+// wraps ErrBadConfig. An owning layer's own sentinel (ErrUnroutable for
+// a topology the northbridge cannot route) stays matchable too.
+func (s *Scenario) fail(err error) error {
+	if !errors.Is(err, errs.ErrBadConfig) {
+		err = fmt.Errorf("%w: %w", err, errs.ErrBadConfig)
+	}
+	return fmt.Errorf("scenario %q: %w", s.Name, err)
+}
+
+// Validate checks the spec, and every cell of its sweep, without
+// booting anything. It lowers each through the code Build uses and
+// hands every lowered piece to the layer that owns its rules: topology
+// constructors and core.Validate for the shape, routing and hardware
+// limits, the fault campaign's Validate, serve.Config and the traffic
+// patterns' range check. It does not mutate the scenario.
 func (s *Scenario) Validate() error {
+	_, err := s.Cells()
+	return err
+}
+
+// check validates one scenario, sweep aside, and returns its lowered
+// form.
+func (s *Scenario) check() (*buildParams, error) {
 	if s.Version != SpecVersion {
-		return badf("unsupported spec version %d (want %d)", s.Version, SpecVersion)
+		return nil, badf("unsupported spec version %d (want %d)", s.Version, SpecVersion)
 	}
 	if s.Name == "" {
-		return badf("scenario has no name")
-	}
-	if err := s.Topology.validate(); err != nil {
-		return err
-	}
-	if s.Parallel < 0 {
-		return badf("%s: negative parallel %d", s.Name, s.Parallel)
+		return nil, badf("no name")
 	}
 	if len(s.Workloads) == 0 {
-		return badf("%s: no workloads", s.Name)
+		return nil, badf("no workloads")
 	}
 	for i := range s.Workloads {
 		w := &s.Workloads[i]
 		def, ok := workloads[w.Kind]
 		if !ok {
-			return badf("%s: unknown workload kind %q", s.Name, w.Kind)
+			return nil, badf("unknown workload kind %q", w.Kind)
 		}
 		if err := w.validateParams(); err != nil {
-			return err
+			return nil, err
 		}
 		if def.standalone && len(s.Workloads) > 1 {
-			return badf("%s: standalone workload %q must be the only entry", s.Name, w.Kind)
-		}
-		if def.validate != nil {
-			if err := def.validate(s, w); err != nil {
-				return err
-			}
-		}
-	}
-	for _, f := range s.Faults {
-		if err := f.validate(s); err != nil {
-			return err
+			return nil, badf("standalone workload %q must be the only entry", w.Kind)
 		}
 	}
 	if s.Trace != nil {
 		switch s.Trace.Format {
 		case "", "chrome", "csv":
 		default:
-			return badf("%s: unknown trace format %q", s.Name, s.Trace.Format)
+			return nil, badf("unknown trace format %q", s.Trace.Format)
 		}
 	}
-	if s.Sweep != nil {
-		if len(s.Sweep.Nodes) > 0 {
-			switch s.Topology.Kind {
-			case "chain", "ring", "full":
-			default:
-				return badf("%s: sweep over nodes needs a chain, ring or full topology, not %q",
-					s.Name, s.Topology.Kind)
-			}
-		}
-		for _, p := range s.Sweep.Parallel {
-			if p < 0 {
-				return badf("%s: negative sweep parallel %d", s.Name, p)
+	p, err := s.lower()
+	if err != nil {
+		return nil, err
+	}
+	if _, err := core.Validate(p.Topo, p.Cfg); err != nil {
+		return nil, err
+	}
+	if err := fault.NewCampaign(p.Faults...).Validate(p.Topo.N(), p.Topo.NumLinks()); err != nil {
+		return nil, err
+	}
+	for i := range s.Workloads {
+		w := &s.Workloads[i]
+		if v := workloads[w.Kind].validate; v != nil {
+			if err := v(s, p.Topo, w); err != nil {
+				return nil, err
 			}
 		}
 	}
-	return nil
+	return p, nil
 }
 
 // validateParams rejects a parameter block that does not match Kind:
@@ -418,83 +438,14 @@ func (w *WorkloadSpec) validateParams() error {
 	return nil
 }
 
-func (t TopologySpec) validate() error {
-	switch t.Kind {
-	case "chain", "ring", "full":
-		if t.Nodes < 1 {
-			return badf("topology %s needs nodes >= 1, got %d", t.Kind, t.Nodes)
-		}
-	case "mesh", "torus":
-		if t.Width < 1 || t.Height < 1 {
-			return badf("topology %s needs width and height >= 1, got %dx%d",
-				t.Kind, t.Width, t.Height)
-		}
-	case "hypercube":
-		if t.Dim < 1 {
-			return badf("topology hypercube needs dim >= 1, got %d", t.Dim)
-		}
-	case "":
-		return badf("topology has no kind")
-	default:
-		return badf("unknown topology kind %q", t.Kind)
-	}
-	return nil
-}
-
-// NodeCount returns the node count the spec describes.
-func (t TopologySpec) NodeCount() int {
-	switch t.Kind {
-	case "chain", "ring", "full":
-		return t.Nodes
-	case "mesh", "torus":
-		return t.Width * t.Height
-	case "hypercube":
-		return 1 << t.Dim
-	default:
-		return 0
-	}
-}
-
-func (f FaultSpec) validate(s *Scenario) error {
-	if f.AtNS < 0 {
-		return badf("%s: fault %q at negative time %d", s.Name, f.Kind, f.AtNS)
-	}
-	if f.ForNS < 0 {
-		return badf("%s: fault %q negative duration for_ns %d", s.Name, f.Kind, f.ForNS)
-	}
-	if f.PenaltyNS < 0 {
-		return badf("%s: fault %q negative penalty_ns %d", s.Name, f.Kind, f.PenaltyNS)
-	}
-	switch f.Kind {
-	case "link-degrade":
-		if f.Rate <= 0 || f.Rate >= 1 {
-			return badf("%s: link-degrade rate %v outside (0,1)", s.Name, f.Rate)
-		}
-	case "link-down":
-	case "link-flap", "retrain-storm":
-		if f.Count < 1 {
-			return badf("%s: fault %q count %d < 1", s.Name, f.Kind, f.Count)
-		}
-		if f.PeriodNS <= 0 {
-			return badf("%s: fault %q non-positive period", s.Name, f.Kind)
-		}
-	case "node-crash":
-		if f.Node < 0 || f.Node >= s.Topology.NodeCount() {
-			return badf("%s: node-crash target %d outside %d nodes",
-				s.Name, f.Node, s.Topology.NodeCount())
-		}
-	default:
-		return badf("%s: unknown fault kind %q", s.Name, f.Kind)
-	}
-	return nil
-}
-
 // Cells expands the sweep grid into standalone scenarios: one per
 // combination, named <name>-n<nodes>-p<parallel>-s<seed> for the swept
-// axes. A scenario without a sweep expands to itself.
+// axes, each validated. A scenario without a sweep expands to itself.
+// A nodes axis must resize the topology (chain, ring and full take a
+// node count; the other kinds are sized by their own fields).
 func (s *Scenario) Cells() ([]*Scenario, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
+	if _, err := s.check(); err != nil {
+		return nil, s.fail(err)
 	}
 	if s.Sweep == nil {
 		return []*Scenario{s.Clone()}, nil
@@ -533,8 +484,13 @@ func (s *Scenario) Cells() ([]*Scenario, error) {
 					name += fmt.Sprintf("-s%d", seed)
 				}
 				cell.Name = name
-				if err := cell.Validate(); err != nil {
-					return nil, err
+				lowered, err := cell.check()
+				if err == nil && n > 0 && lowered.Topo.N() != n {
+					err = badf("sweep over nodes %d does not resize topology %q (%d nodes)",
+						n, s.Topology.Kind, lowered.Topo.N())
+				}
+				if err != nil {
+					return nil, cell.fail(err)
 				}
 				cells = append(cells, cell)
 			}

@@ -2,6 +2,8 @@ package scenario
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -103,22 +105,22 @@ func TestParseRejects(t *testing.T) {
 			"standalone"},
 		{"pingpong on one node",
 			`{"version":1,"name":"x","topology":{"kind":"chain","nodes":1},"workloads":[{"kind":"pingpong"}]}`,
-			"at least 2"},
+			">= 2 nodes, got 1"},
 		{"degrade rate out of range",
 			`{"version":1,"name":"x","topology":{"kind":"chain","nodes":2},"workloads":[{"kind":"pingpong"}],"faults":[{"kind":"link-degrade","link":0,"at_ns":1,"rate":1.5}]}`,
 			"rate"},
 		{"negative link-down duration",
 			`{"version":1,"name":"x","topology":{"kind":"chain","nodes":2},"workloads":[{"kind":"pingpong"}],"faults":[{"kind":"link-down","link":0,"at_ns":1,"for_ns":-5}]}`,
-			"for_ns -5"},
+			"negative duration -5000ps"},
 		{"negative node-crash duration",
 			`{"version":1,"name":"x","topology":{"kind":"chain","nodes":2},"workloads":[{"kind":"pingpong"}],"faults":[{"kind":"node-crash","node":1,"at_ns":1,"for_ns":-5}]}`,
-			"for_ns -5"},
+			"negative duration -5000ps"},
 		{"negative degrade duration",
 			`{"version":1,"name":"x","topology":{"kind":"chain","nodes":2},"workloads":[{"kind":"pingpong"}],"faults":[{"kind":"link-degrade","link":0,"at_ns":1,"for_ns":-5,"rate":0.1}]}`,
-			"for_ns -5"},
+			"negative duration -5000ps"},
 		{"negative degrade penalty",
 			`{"version":1,"name":"x","topology":{"kind":"chain","nodes":2},"workloads":[{"kind":"pingpong"}],"faults":[{"kind":"link-degrade","link":0,"at_ns":1,"rate":0.1,"penalty_ns":-1}]}`,
-			"penalty_ns -1"},
+			"negative retry penalty -1000ps"},
 		{"unknown fault kind",
 			`{"version":1,"name":"x","topology":{"kind":"chain","nodes":2},"workloads":[{"kind":"pingpong"}],"faults":[{"kind":"gremlin","at_ns":1}]}`,
 			"gremlin"},
@@ -137,6 +139,38 @@ func TestParseRejects(t *testing.T) {
 		{"fault-recovery endpoints outside topology",
 			`{"version":1,"name":"x","topology":{"kind":"chain","nodes":2},"workloads":[{"kind":"fault-recovery"}]}`,
 			"outside"},
+		// Rows below are rules the owning layers keep; Validate reaches
+		// them by lowering the spec, and a sweep cell by expanding it.
+		{"torus below 3x3",
+			`{"version":1,"name":"x","topology":{"kind":"torus","width":2,"height":2},"workloads":[{"kind":"pingpong"}]}`,
+			"got 2x2"},
+		{"ring of two",
+			`{"version":1,"name":"x","topology":{"kind":"ring","nodes":2},"workloads":[{"kind":"pingpong"}]}`,
+			"got 2"},
+		{"hypercube past four ports",
+			`{"version":1,"name":"x","topology":{"kind":"hypercube","dim":5},"workloads":[{"kind":"pingpong"}]}`,
+			"dimension 5"},
+		{"full past four ports",
+			`{"version":1,"name":"x","topology":{"kind":"full","nodes":10},"workloads":[{"kind":"pingpong"}]}`,
+			"10 nodes needs 9 ports"},
+		{"allreduce on one node",
+			`{"version":1,"name":"x","topology":{"kind":"chain","nodes":1},"workloads":[{"kind":"allreduce"}]}`,
+			"got 1"},
+		{"serve value too small",
+			`{"version":1,"name":"x","topology":{"kind":"chain","nodes":4},"workloads":[{"kind":"serve","serve":{"value_bytes":4}}]}`,
+			"value size 4"},
+		{"link-down past the last link",
+			`{"version":1,"name":"x","topology":{"kind":"chain","nodes":4},"workloads":[{"kind":"pingpong"}],"faults":[{"kind":"link-down","link":99,"at_ns":1}]}`,
+			"link 99 at 1ns: link outside [0,3)"},
+		{"hotspot outside topology",
+			`{"version":1,"name":"x","topology":{"kind":"chain","nodes":4},"workloads":[{"kind":"collectives","collectives":{"traffic":[{"pattern":"hotspot","target":99}]}}]}`,
+			"0->99 outside 4 nodes"},
+		{"transpose on a non-square mesh",
+			`{"version":1,"name":"x","topology":{"kind":"mesh","width":4,"height":2},"workloads":[{"kind":"collectives","collectives":{"traffic":[{"pattern":"transpose"}]}}]}`,
+			"2->8 outside 8 nodes"},
+		{"node sweep to one node",
+			`{"version":1,"name":"x","topology":{"kind":"chain","nodes":4},"workloads":[{"kind":"allreduce"}],"sweep":{"nodes":[1,4]}}`,
+			`"x-n1": topology: chain needs >= 2 nodes, got 1`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -151,6 +185,52 @@ func TestParseRejects(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.wantSub)
 			}
 		})
+	}
+}
+
+// TestParseRejectsUnroutable: the northbridge has 8 MMIO ranges, one
+// kept for real IO (§IV), and a 4-cube node needs 15 intervals. The
+// error is ErrBadConfig like every spec error and still ErrUnroutable,
+// the topology layer's own sentinel.
+func TestParseRejectsUnroutable(t *testing.T) {
+	spec := `{"version":1,"name":"x","topology":{"kind":"hypercube","dim":4},"workloads":[{"kind":"pingpong"}]}`
+	_, err := Parse([]byte(spec))
+	if !errors.Is(err, errs.ErrBadConfig) || !errors.Is(err, errs.ErrUnroutable) {
+		t.Fatalf("got %v, want ErrBadConfig and ErrUnroutable", err)
+	}
+	if !strings.Contains(err.Error(), "needs 15 address intervals, northbridge has 7") {
+		t.Fatalf("error %q does not name the interval count", err)
+	}
+}
+
+// TestCommittedSpecsValid parses and expands every spec the repository
+// ships, so a stricter Validate cannot reject one that is already
+// committed.
+func TestCommittedSpecsValid(t *testing.T) {
+	var files []string
+	for _, pat := range []string{"../../scenarios/*.json", "../../examples/*/scenario.json"} {
+		m, err := filepath.Glob(pat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, m...)
+	}
+	if len(files) < 12 {
+		t.Fatalf("found %d committed specs, want at least 12", len(files))
+	}
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := Parse(data)
+		if err != nil {
+			t.Errorf("%s: %v", f, err)
+			continue
+		}
+		if _, err := s.Cells(); err != nil {
+			t.Errorf("%s: cells: %v", f, err)
+		}
 	}
 }
 

@@ -9,22 +9,28 @@ import (
 	"repro/internal/workload"
 )
 
-func validateCollectives(s *Scenario, w *WorkloadSpec) error {
+func validateCollectives(s *Scenario, topo *tccluster.Topology, w *WorkloadSpec) error {
 	if w.Collectives == nil {
 		return nil
 	}
 	for _, t := range w.Collectives.Traffic {
-		switch t.Pattern {
-		case "nearest-neighbor", "hotspot", "uniform-random":
-		case "transpose":
-			if t.Width <= 0 && s.Topology.Width <= 0 {
-				return badf("%s: transpose traffic needs a width (none in the spec or topology)", s.Name)
-			}
-		default:
-			return badf("%s: unknown traffic pattern %q", s.Name, t.Pattern)
+		pat, err := t.pattern(s.Topology)
+		if err != nil {
+			return err
+		}
+		if err := workload.Check(pat, topo.N(), t.flows()); err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// flows resolves the per-source flow count (default 1).
+func (t TrafficSpec) flows() int {
+	if t.FlowsPerNode <= 0 {
+		return 1
+	}
+	return t.FlowsPerNode
 }
 
 // pattern lowers one traffic spec to the workload vocabulary.
@@ -155,15 +161,11 @@ func runCollectives(rc *runCtx, w *WorkloadSpec) error {
 			if err != nil {
 				return err
 			}
-			flows := t.FlowsPerNode
-			if flows <= 0 {
-				flows = 1
-			}
 			bytesPer := t.BytesPerFlow
 			if bytesPer <= 0 {
 				bytesPer = 16 << 10
 			}
-			res, err := workload.Run(c.Cluster, pat, flows, bytesPer)
+			res, err := workload.Run(c.Cluster, pat, t.flows(), bytesPer)
 			if err != nil {
 				return err
 			}

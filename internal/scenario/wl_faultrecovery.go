@@ -34,17 +34,13 @@ func faultRecoveryDefaults(w *WorkloadSpec) (msgs, stores, src, dst int, ackTO, 
 	return
 }
 
-func validateFaultRecovery(s *Scenario, w *WorkloadSpec) error {
+func validateFaultRecovery(_ *Scenario, topo *tccluster.Topology, w *WorkloadSpec) error {
 	_, _, src, dst, _, _ := faultRecoveryDefaults(w)
-	n := s.Topology.NodeCount()
 	if src == dst {
-		return badf("%s: fault-recovery channel endpoints coincide (rank %d)", s.Name, src)
+		return badf("fault-recovery channel endpoints coincide (rank %d)", src)
 	}
-	if src >= n || dst >= n {
-		return badf("%s: fault-recovery channel %d -> %d outside %d nodes", s.Name, src, dst, n)
-	}
-	if n < 2 {
-		return badf("%s: fault-recovery needs at least 2 nodes for the store stream", s.Name)
+	if n := topo.N(); src >= n || dst >= n {
+		return badf("fault-recovery channel %d -> %d outside %d nodes", src, dst, n)
 	}
 	return nil
 }

@@ -6,13 +6,6 @@ import (
 	tccluster "repro"
 )
 
-func validatePingpong(s *Scenario, w *WorkloadSpec) error {
-	if s.Topology.NodeCount() < 2 {
-		return badf("%s: pingpong needs at least 2 nodes", s.Name)
-	}
-	return nil
-}
-
 // runPingpong is the quickstart tour: boot the prototype, open a
 // channel each way, and measure echo round trips.
 func runPingpong(rc *runCtx, w *WorkloadSpec) error {

@@ -7,13 +7,6 @@ import (
 	tccluster "repro"
 )
 
-func validateRingshift(s *Scenario, w *WorkloadSpec) error {
-	if s.Topology.NodeCount() < 2 {
-		return badf("%s: ringshift needs at least 2 nodes", s.Name)
-	}
-	return nil
-}
-
 // runRingshift drives a neighbor-ring shift over the message library:
 // every node owns one channel to its successor, and each step every
 // rank receives its predecessor's block, folds it into its own, and

@@ -46,86 +46,36 @@ type ServeParams struct {
 	Seed uint64 `json:"seed,omitempty"`
 }
 
-func validateServe(s *Scenario, w *WorkloadSpec) error {
-	if s.Topology.NodeCount() < 2 {
-		return badf("%s: serve needs at least 2 nodes", s.Name)
-	}
-	p := w.Serve
-	if p == nil {
-		return nil
-	}
-	switch tccluster.ServePolicy(p.Policy) {
-	case "", tccluster.ServeRoundRobin, tccluster.ServeLeastLoaded, tccluster.ServeAffinity:
-	default:
-		return badf("%s: serve policy %q (want round-robin, least-loaded or affinity)",
-			s.Name, p.Policy)
-	}
-	if p.ReadFraction < 0 || p.ReadFraction > 1 {
-		return badf("%s: serve read fraction %v outside [0,1]", s.Name, p.ReadFraction)
-	}
-	if p.Shards < 0 || p.ReplicaN < 0 || p.ValueBytes < 0 || p.RequestsPerNode < 0 ||
-		p.DeadAfter < 0 || p.BucketBurst < 0 {
-		return badf("%s: negative serve parameter", s.Name)
-	}
-	if p.MeanInterarrivalNS < 0 || p.SLONS < 0 || p.TimeoutNS < 0 || p.WindowNS < 0 {
-		return badf("%s: negative serve timing", s.Name)
-	}
-	if p.SLONS > 0 && p.TimeoutNS > 0 && p.TimeoutNS < p.SLONS {
-		return badf("%s: serve timeout %dns below SLO %dns", s.Name, p.TimeoutNS, p.SLONS)
-	}
-	return nil
+// checkServe lowers the serve block and hands it to serve.Config,
+// which owns every serve rule.
+func checkServe(_ *Scenario, topo *tccluster.Topology, w *WorkloadSpec) error {
+	_, err := tccluster.ValidateServeConfig(serveConfig(w.Serve), topo.N())
+	return err
 }
 
-// serveConfig lowers the spec block onto the serve defaults.
+// serveConfig lowers the spec block field for field: zero keeps the
+// serve default, and serve.Config.Validate rejects what cannot run.
 func serveConfig(p *ServeParams) tccluster.ServeConfig {
-	cfg := tccluster.DefaultServeConfig()
 	if p == nil {
-		return cfg
+		return tccluster.ServeConfig{}
 	}
-	if p.Shards > 0 {
-		cfg.Shards = p.Shards
+	return tccluster.ServeConfig{
+		Shards:           p.Shards,
+		ReplicaN:         p.ReplicaN,
+		Keyspace:         p.Keyspace,
+		ValueBytes:       p.ValueBytes,
+		ReadFraction:     p.ReadFraction,
+		RequestsPerNode:  p.RequestsPerNode,
+		MeanInterarrival: nsToTime(p.MeanInterarrivalNS),
+		Policy:           tccluster.ServePolicy(p.Policy),
+		SLO:              nsToTime(p.SLONS),
+		Timeout:          nsToTime(p.TimeoutNS),
+		DeadAfter:        p.DeadAfter,
+		BucketBurst:      p.BucketBurst,
+		BucketRate:       p.BucketRate,
+		Window:           nsToTime(p.WindowNS),
+		Seed:             p.Seed,
 	}
-	if p.ReplicaN > 0 {
-		cfg.ReplicaN = p.ReplicaN
-	}
-	if p.Keyspace > 0 {
-		cfg.Keyspace = p.Keyspace
-	}
-	if p.ValueBytes > 0 {
-		cfg.ValueBytes = p.ValueBytes
-	}
-	if p.ReadFraction > 0 {
-		cfg.ReadFraction = p.ReadFraction
-	}
-	if p.RequestsPerNode > 0 {
-		cfg.RequestsPerNode = p.RequestsPerNode
-	}
-	if p.MeanInterarrivalNS > 0 {
-		cfg.MeanInterarrival = tccluster.Time(p.MeanInterarrivalNS) * tccluster.Nanosecond
-	}
-	if p.Policy != "" {
-		cfg.Policy = tccluster.ServePolicy(p.Policy)
-	}
-	if p.SLONS > 0 {
-		cfg.SLO = tccluster.Time(p.SLONS) * tccluster.Nanosecond
-	}
-	if p.TimeoutNS > 0 {
-		cfg.Timeout = tccluster.Time(p.TimeoutNS) * tccluster.Nanosecond
-	}
-	if p.DeadAfter > 0 {
-		cfg.DeadAfter = p.DeadAfter
-	}
-	if p.BucketBurst > 0 {
-		cfg.BucketBurst = p.BucketBurst
-	}
-	if p.BucketRate != 0 {
-		cfg.BucketRate = p.BucketRate
-	}
-	if p.WindowNS > 0 {
-		cfg.Window = tccluster.Time(p.WindowNS) * tccluster.Nanosecond
-	}
-	cfg.Seed = p.Seed
-	return cfg
 }
 
 // runServe deploys the service over the scenario's cluster, drives the

@@ -223,7 +223,12 @@ func (c *Config) validate(nodes int) error {
 	if c.ReadFraction < 0 || c.ReadFraction > 1 {
 		return fmt.Errorf("serve: read fraction %v outside [0,1]: %w", c.ReadFraction, errs.ErrBadConfig)
 	}
-	if c.MeanInterarrival < 0 || c.SLO < 0 || c.Timeout < 0 || c.Window <= 0 {
+	if c.RequestsPerNode < 0 || c.DeadAfter < 0 || c.BucketBurst < 0 {
+		return fmt.Errorf("serve: negative count (requests per node %d, dead after %d, bucket burst %d): %w",
+			c.RequestsPerNode, c.DeadAfter, c.BucketBurst, errs.ErrBadConfig)
+	}
+	if c.MeanInterarrival < 0 || c.SLO < 0 || c.Timeout < 0 || c.Window < 0 ||
+		c.ServiceTime < 0 || c.LocalDelay < 0 {
 		return fmt.Errorf("serve: negative timing parameter: %w", errs.ErrBadConfig)
 	}
 	if c.Timeout < c.SLO {

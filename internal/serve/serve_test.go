@@ -105,6 +105,41 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// TestConfigRejectsNegatives pins that serve owns its negative values:
+// zero means "default", and anything below zero is ErrBadConfig rather
+// than a silently broken deployment (a negative arrival budget that
+// never arrives, a bucket that never admits, a server that answers
+// before the request).
+func TestConfigRejectsNegatives(t *testing.T) {
+	cases := []struct {
+		name string
+		mod  func(*Config)
+	}{
+		{"shards", func(c *Config) { c.Shards = -1 }},
+		{"replicas", func(c *Config) { c.ReplicaN = -1 }},
+		{"value bytes", func(c *Config) { c.ValueBytes = -1 }},
+		{"read fraction", func(c *Config) { c.ReadFraction = -0.5 }},
+		{"requests per node", func(c *Config) { c.RequestsPerNode = -1 }},
+		{"mean interarrival", func(c *Config) { c.MeanInterarrival = -sim.Nanosecond }},
+		{"slo", func(c *Config) { c.SLO = -sim.Nanosecond }},
+		{"timeout", func(c *Config) { c.Timeout = -sim.Nanosecond }},
+		{"dead after", func(c *Config) { c.DeadAfter = -1 }},
+		{"bucket burst", func(c *Config) { c.BucketBurst = -1 }},
+		{"window", func(c *Config) { c.Window = -sim.Nanosecond }},
+		{"service time", func(c *Config) { c.ServiceTime = -sim.Nanosecond }},
+		{"local delay", func(c *Config) { c.LocalDelay = -sim.Nanosecond }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var cfg Config
+			tc.mod(&cfg)
+			if err := cfg.Validate(4); !errors.Is(err, errs.ErrBadConfig) {
+				t.Fatalf("got %v, want ErrBadConfig", err)
+			}
+		})
+	}
+}
+
 // smallConfig keeps unit runs fast: 4 nodes x 300 requests.
 func smallConfig() Config {
 	cfg := DefaultConfig()

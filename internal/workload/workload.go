@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/errs"
 	"repro/internal/sim"
 )
 
@@ -101,14 +102,21 @@ func (r Result) String() string {
 		r.Pattern, r.Flows, r.TotalBytes>>10, r.Duration, r.AggregateBW/1e9, r.MaxLinkUtil*100)
 }
 
-// Run drives flowsPerNode flows of bytesPerFlow raw posted-store bytes
-// from every node per the pattern and measures the time until the last
-// byte lands in destination DRAM. Flows from one node issue through its
-// cores round-robin; delivered bytes are counted by write watches at
-// every socket.
-func Run(c *core.Cluster, pat Pattern, flowsPerNode, bytesPerFlow int) (Result, error) {
-	n := c.N()
-	type flow struct{ src, dst, k int }
+// flow is one source's k-th stream toward its pattern destination.
+type flow struct{ src, dst, k int }
+
+// Check rejects a pattern that cannot run on an n-node cluster with
+// flowsPerNode flows per source: a destination outside the cluster, or
+// no flow at all. Run checks the same way; spec layers call it to
+// reject a traffic spec before boot.
+func Check(pat Pattern, n, flowsPerNode int) error {
+	_, err := plan(pat, n, flowsPerNode)
+	return err
+}
+
+// plan lists every flow of the pattern, skipping the sources it leaves
+// silent.
+func plan(pat Pattern, n, flowsPerNode int) ([]flow, error) {
 	var flows []flow
 	for src := 0; src < n; src++ {
 		for k := 0; k < flowsPerNode; k++ {
@@ -117,14 +125,27 @@ func Run(c *core.Cluster, pat Pattern, flowsPerNode, bytesPerFlow int) (Result, 
 				continue
 			}
 			if dst >= n {
-				return Result{}, fmt.Errorf("workload: pattern %s routed %d->%d outside %d nodes",
-					pat.Name(), src, dst, n)
+				return nil, fmt.Errorf("workload: pattern %s routed %d->%d outside %d nodes: %w",
+					pat.Name(), src, dst, n, errs.ErrBadConfig)
 			}
 			flows = append(flows, flow{src: src, dst: dst, k: k})
 		}
 	}
 	if len(flows) == 0 {
-		return Result{}, fmt.Errorf("workload: pattern %s produced no flows", pat.Name())
+		return nil, fmt.Errorf("workload: pattern %s produced no flows: %w", pat.Name(), errs.ErrBadConfig)
+	}
+	return flows, nil
+}
+
+// Run drives flowsPerNode flows of bytesPerFlow raw posted-store bytes
+// from every node per the pattern and measures the time until the last
+// byte lands in destination DRAM. Flows from one node issue through its
+// cores round-robin; delivered bytes are counted by write watches at
+// every socket.
+func Run(c *core.Cluster, pat Pattern, flowsPerNode, bytesPerFlow int) (Result, error) {
+	flows, err := plan(pat, c.N(), flowsPerNode)
+	if err != nil {
+		return Result{}, err
 	}
 	total := len(flows) * bytesPerFlow
 

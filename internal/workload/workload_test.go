@@ -1,9 +1,11 @@
 package workload
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/errs"
 	"repro/internal/topology"
 )
 
@@ -109,13 +111,28 @@ func TestHotspotCollapsesVsNeighbor(t *testing.T) {
 	}
 }
 
+// TestRunRejectsEmptyPattern: Run and Check reject the same patterns,
+// both with ErrBadConfig.
 func TestRunRejectsEmptyPattern(t *testing.T) {
 	c := meshCluster(t, 2, 2)
-	if _, err := Run(c, HotSpot{Target: 99}, 1, 1024); err == nil {
-		t.Error("pattern with out-of-range target accepted")
+	for _, tc := range []struct {
+		name  string
+		pat   Pattern
+		flows int
+	}{
+		{"out-of-range target", HotSpot{Target: 99}, 1},
+		{"zero flows", Transpose{Width: 2}, 0},
+		{"transpose wider than the mesh", Transpose{Width: 4}, 1},
+	} {
+		if _, err := Run(c, tc.pat, tc.flows, 1024); !errors.Is(err, errs.ErrBadConfig) {
+			t.Errorf("%s: Run = %v, want ErrBadConfig", tc.name, err)
+		}
+		if err := Check(tc.pat, c.N(), tc.flows); !errors.Is(err, errs.ErrBadConfig) {
+			t.Errorf("%s: Check = %v, want ErrBadConfig", tc.name, err)
+		}
 	}
-	if _, err := Run(c, Transpose{Width: 2}, 0, 1024); err == nil {
-		t.Error("zero flows accepted")
+	if err := Check(NearestNeighbor{}, c.N(), 1); err != nil {
+		t.Errorf("nearest-neighbor rejected: %v", err)
 	}
 }
 

@@ -291,8 +291,9 @@ const (
 )
 
 // ValidateServeConfig checks cfg against an n-node deployment without
-// booting anything, returning the config with defaults filled in. The
-// scenario layer uses it to reject bad specs before cluster boot.
+// booting anything, returning the config with defaults filled in. It
+// runs the same check NewService does; the scenario layer's Validate
+// calls it on each lowered serve block, so a spec that parses deploys.
 func ValidateServeConfig(cfg ServeConfig, nodes int) (ServeConfig, error) {
 	err := cfg.Validate(nodes)
 	return cfg, err
