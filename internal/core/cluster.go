@@ -200,8 +200,8 @@ func New(topo *topology.Topology, cfg Config) (*Cluster, error) {
 				s = (s + 1) % cfg.SocketsPerNode
 				tried++
 				if tried > cfg.SocketsPerNode {
-					return nil, fmt.Errorf("core: node %d needs %d external links, sockets exhausted",
-						i, len(ports))
+					return nil, fmt.Errorf("core: node %d needs %d external links, sockets exhausted: %w",
+						i, len(ports), errs.ErrBadConfig)
 				}
 			}
 			l, err := take(s)

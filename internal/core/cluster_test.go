@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
+	"repro/internal/errs"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -542,6 +544,21 @@ func TestConfigValidationErrors(t *testing.T) {
 	}
 	if _, err := New(bigTopo, bad); err == nil {
 		t.Error("512TB global space accepted")
+	}
+}
+
+// A node whose sockets run out of external HT links is a configuration
+// error: a one-socket fully connected 5-node cluster needs four external
+// links per node, one more than a lone socket has.
+func TestPortBudgetIsBadConfig(t *testing.T) {
+	topo, err := topology.FullyConnected(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.SocketsPerNode = 1
+	if _, err := New(topo, cfg); !errors.Is(err, errs.ErrBadConfig) {
+		t.Fatalf("one-socket full 5: got %v, want ErrBadConfig", err)
 	}
 }
 

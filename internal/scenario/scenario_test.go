@@ -111,16 +111,16 @@ func TestParseRejects(t *testing.T) {
 			"rate"},
 		{"negative link-down duration",
 			`{"version":1,"name":"x","topology":{"kind":"chain","nodes":2},"workloads":[{"kind":"pingpong"}],"faults":[{"kind":"link-down","link":0,"at_ns":1,"for_ns":-5}]}`,
-			"negative duration -5000ps"},
+			"negative duration -5ns"},
 		{"negative node-crash duration",
 			`{"version":1,"name":"x","topology":{"kind":"chain","nodes":2},"workloads":[{"kind":"pingpong"}],"faults":[{"kind":"node-crash","node":1,"at_ns":1,"for_ns":-5}]}`,
-			"negative duration -5000ps"},
+			"negative duration -5ns"},
 		{"negative degrade duration",
 			`{"version":1,"name":"x","topology":{"kind":"chain","nodes":2},"workloads":[{"kind":"pingpong"}],"faults":[{"kind":"link-degrade","link":0,"at_ns":1,"for_ns":-5,"rate":0.1}]}`,
-			"negative duration -5000ps"},
+			"negative duration -5ns"},
 		{"negative degrade penalty",
 			`{"version":1,"name":"x","topology":{"kind":"chain","nodes":2},"workloads":[{"kind":"pingpong"}],"faults":[{"kind":"link-degrade","link":0,"at_ns":1,"rate":0.1,"penalty_ns":-1}]}`,
-			"negative retry penalty -1000ps"},
+			"negative retry penalty -1ns"},
 		{"unknown fault kind",
 			`{"version":1,"name":"x","topology":{"kind":"chain","nodes":2},"workloads":[{"kind":"pingpong"}],"faults":[{"kind":"gremlin","at_ns":1}]}`,
 			"gremlin"},

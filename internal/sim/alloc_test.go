@@ -91,3 +91,22 @@ func benchSelfClock(b *testing.B, e *Engine) {
 
 func BenchmarkLadderSelfClock(b *testing.B) { benchSelfClock(b, NewEngine()) }
 func BenchmarkLegacySelfClock(b *testing.B) { benchSelfClock(b, NewLegacyEngine()) }
+
+// BenchmarkLadderBurst drains the torus's bucket shape: 512 tickers with
+// one shared period fire in lockstep, so every instant is a single
+// bucket of 512 same-time events.
+func BenchmarkLadderBurst(b *testing.B) {
+	b.ReportAllocs()
+	e := NewEngine()
+	tk := &ticker{period: 10 * Nanosecond}
+	for i := 0; i < 512; i++ {
+		e.Schedule(0, tk, EventArg{I: int64(i)})
+	}
+	for i := 0; i < 50_000; i++ {
+		e.Step()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
+}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -134,6 +135,12 @@ func TestTimeString(t *testing.T) {
 		{1400 * Nanosecond, "1.4us"},
 		{3 * Millisecond, "3ms"},
 		{2 * Second, "2s"},
+		{-500 * Picosecond, "-500ps"},
+		{-5 * Nanosecond, "-5ns"},
+		{-1400 * Nanosecond, "-1.4us"},
+		{-3 * Millisecond, "-3ms"},
+		{-2 * Second, "-2s"},
+		{math.MinInt64, "-9223372036854775808ps"},
 	}
 	for _, c := range cases {
 		if got := c.t.String(); got != c.want {

@@ -56,6 +56,100 @@ func TestLadderMatchesLegacyOrderingProperty(t *testing.T) {
 	}
 }
 
+// scripted is a randomized event script that both queues run from the
+// same seed. Every fired event may schedule children of each shape the
+// near rung has a path for: same-instant follow-ups (ties broken by
+// inherited priority), mailbox-style keyed events whose stamp is earlier
+// than now, near events a bucket or a few apart, far events past the
+// near window (so the window refills from the far heap), and bursts of
+// more than 32 and more than 256 events at one instant. Both engines
+// draw from their own Rand, so the draws stay in step exactly as long as
+// the firing orders agree.
+type scripted struct {
+	r      *Rand
+	log    []firedAt
+	tags   int64
+	budget int
+}
+
+func (s *scripted) tag() EventArg {
+	s.tags++
+	return EventArg{I: s.tags}
+}
+
+func (s *scripted) OnEvent(e *Engine, arg EventArg) {
+	s.log = append(s.log, firedAt{at: e.Now(), tag: arg.I})
+	for n := s.r.Intn(3); n > 0 && s.budget > 0; n-- {
+		s.budget--
+		s.child(e)
+	}
+}
+
+func (s *scripted) child(e *Engine) {
+	now := e.Now()
+	switch s.r.Intn(12) {
+	case 0, 1: // same instant: ties with siblings and cousins
+		e.Schedule(now, s, s.tag())
+	case 2: // mailbox: a stamp from the sender's past, a foreign lineage
+		sat := max(0, now-Time(s.r.Intn(3000)))
+		e.scheduleKeyed(now+Time(s.r.Intn(600)), sat, uint64(s.r.Intn(64)), s, s.tag())
+	case 3: // past the near window
+		e.Schedule(now+Microsecond+Time(s.r.Intn(4000))*Nanosecond, s, s.tag())
+	case 4: // a burst at one instant, usually over 32, rarely over 256
+		if s.r.Intn(8) == 0 {
+			k := 33 + s.r.Intn(20)
+			if s.r.Intn(4) == 0 {
+				k = 257 + s.r.Intn(40)
+			}
+			at := now + Time(s.r.Intn(3))*100*Picosecond
+			for ; k > 0; k-- {
+				e.Schedule(at, s, s.tag())
+			}
+		}
+	default: // near: within a few buckets
+		e.Schedule(now+Time(s.r.Intn(1500)), s, s.tag())
+	}
+}
+
+// runScript drives e through one script: same-instant root bursts of
+// 300 and 40 events, then bounded runs. Each RunUntil leaves the cursor
+// positioned on the next pending bucket, beyond the clock, so the root
+// events scheduled at Now() between runs clamp into an already sorted
+// run.
+func runScript(e *Engine, seed uint64) *scripted {
+	s := &scripted{r: NewRand(seed), budget: 2500}
+	for i := 0; i < 300; i++ {
+		e.Schedule(5*Nanosecond, s, s.tag())
+	}
+	for i := 0; i < 40; i++ {
+		e.Schedule(5*Nanosecond+64*Picosecond, s, s.tag())
+	}
+	for e.Pending() > 0 {
+		e.RunUntil(e.Now() + Time(s.r.Intn(3000)))
+		if s.r.Intn(3) == 0 {
+			e.Schedule(e.Now(), s, s.tag())
+			e.Schedule(e.Now()+Time(s.r.Intn(200)), s, s.tag())
+		}
+	}
+	return s
+}
+
+// Property: under every scheduling shape the near rung distinguishes,
+// the ladder fires events in exactly the legacy heap's order.
+func TestLadderMatchesLegacyScriptedProperty(t *testing.T) {
+	f := func(seed uint64) bool {
+		newE, oldE := NewEngine(), NewLegacyEngine()
+		got, want := runScript(newE, seed), runScript(oldE, seed)
+		return len(want.log) > 340 &&
+			sameLog(got.log, want.log) &&
+			newE.Now() == oldE.Now() &&
+			newE.Fired() == oldE.Fired()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // chainTicker reschedules itself with a pseudo-random gap until its
 // budget runs out, and occasionally spawns a sibling — a workload shaped
 // like the simulator's own traffic (mostly near-future events with the
