@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"os"
 
+	"repro/internal/scenario"
 	"repro/internal/stats"
 	"repro/internal/topology"
 )
@@ -30,24 +31,9 @@ func main() {
 	memPerNodeGB := flag.Int("mem", 8, "GB of DRAM per node for address-space accounting")
 	flag.Parse()
 
-	var topo *topology.Topology
-	var err error
-	switch *kind {
-	case "chain":
-		topo, err = topology.Chain(*n)
-	case "ring":
-		topo, err = topology.Ring(*n)
-	case "mesh":
-		topo, err = topology.Mesh(*w, *h)
-	case "torus":
-		topo, err = topology.Torus(*w, *h)
-	case "full":
-		topo, err = topology.FullyConnected(*n)
-	case "hypercube":
-		topo, err = topology.Hypercube(*n)
-	default:
-		err = fmt.Errorf("unknown topology %q", *kind)
-	}
+	// -n sizes chain, ring and full, and is the hypercube's dimension.
+	spec := scenario.TopologySpec{Kind: *kind, Nodes: *n, Width: *w, Height: *h, Dim: *n}
+	topo, err := spec.BuildTopology()
 	if err != nil {
 		fail(err)
 	}

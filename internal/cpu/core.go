@@ -3,6 +3,7 @@ package cpu
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/nb"
 	"repro/internal/prof"
@@ -483,9 +484,7 @@ func (c *Core) wcMerge(rec *stRec) {
 	}
 	off := int(rec.addr - line)
 	copy(b.data[off:], rec.data[:rec.n])
-	for i := 0; i < rec.n; i++ {
-		b.mask |= 1 << (off + i)
-	}
+	b.mask |= (uint64(1)<<rec.n - 1) << off // rec.n == 64 wraps to all ones
 	retired := rec.retired
 	c.putSt(rec)
 	if b.mask == ^uint64(0) {
@@ -587,19 +586,12 @@ const maxMaskRuns = 32
 // the caller's fixed array and returning the count — no allocation.
 func maskRuns(mask uint64, runs *[maxMaskRuns][2]int) int {
 	n := 0
-	i := 0
-	for i < 64 {
-		if mask&(1<<i) == 0 {
-			i++
-			continue
-		}
-		j := i
-		for j < 64 && mask&(1<<j) != 0 {
-			j++
-		}
+	for mask != 0 {
+		i := bits.TrailingZeros64(mask)
+		j := i + bits.TrailingZeros64(^(mask >> i)) // zeros shift in, so j <= 64
 		runs[n] = [2]int{i, j}
 		n++
-		i = j
+		mask &^= uint64(1)<<j - 1 // j == 64 clears everything
 	}
 	return n
 }

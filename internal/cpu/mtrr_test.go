@@ -185,3 +185,53 @@ func TestMaskRunsReconstructProperty(t *testing.T) {
 		}
 	}
 }
+
+// maskRunsBitwise is the bit-by-bit scan maskRuns replaced, kept as its
+// reference.
+func maskRunsBitwise(mask uint64) [][2]int {
+	var out [][2]int
+	for i := 0; i < 64; {
+		if mask&(1<<i) == 0 {
+			i++
+			continue
+		}
+		j := i
+		for j < 64 && mask&(1<<j) != 0 {
+			j++
+		}
+		out = append(out, [2]int{i, j})
+		i = j
+	}
+	return out
+}
+
+func TestMaskRunsMatchesBitwiseScanProperty(t *testing.T) {
+	// Stores are dword-granular, so every buffer mask is one of the 2^16
+	// patterns of whole dwords. Check the empty and full masks and random
+	// patterns against the bit-by-bit reference.
+	patterns := []uint16{0, 0xFFFF, 1, 0x8000, 0x5555, 0xAAAA}
+	x := uint64(0x9E3779B97F4A7C15)
+	for i := 0; i < 2000; i++ {
+		x = x*6364136223846793005 + 1442695040888963407
+		patterns = append(patterns, uint16(x>>48))
+	}
+	for _, p := range patterns {
+		var mask uint64
+		for d := 0; d < 16; d++ {
+			if p&(1<<d) != 0 {
+				mask |= 0xF << (4 * d)
+			}
+		}
+		var runs [maxMaskRuns][2]int
+		got := runs[:maskRuns(mask, &runs)]
+		want := maskRunsBitwise(mask)
+		if len(got) != len(want) {
+			t.Fatalf("maskRuns(%#x) = %v, want %v", mask, got, want)
+		}
+		for k := range got {
+			if got[k] != want[k] {
+				t.Fatalf("maskRuns(%#x) = %v, want %v", mask, got, want)
+			}
+		}
+	}
+}

@@ -51,23 +51,33 @@ const (
 	opAllreduceRing
 )
 
+// opCount sizes the per-collective epoch counters.
+const opCount = opAllreduceRing + 1
+
 // ctag builds a collision-free internal tag for one collective round.
 // Ranks stay in lockstep because — as in real MPI — every rank must
 // invoke collectives in the same order.
 func (c *Comm) ctag(op, round int) int {
-	if c.epochs == nil {
-		c.epochs = make(map[int]int)
-	}
-	epoch := c.epochs[op]
-	return internalTagBase | op<<26 | (epoch&0xFFFF)<<8 | round&0xFF
+	return internalTagBase | op<<26 | (c.epochs[op]&0xFFFF)<<8 | round&0xFF
 }
 
-func (c *Comm) bumpEpoch(op int) {
-	if c.epochs == nil {
-		c.epochs = make(map[int]int)
+func (c *Comm) bumpEpoch(op int) { c.epochs[op]++ }
+
+// freeList is a LIFO of recycled operation records.
+type freeList[T any] []*T
+
+func (f *freeList[T]) pop() *T {
+	n := len(*f)
+	if n == 0 {
+		return nil
 	}
-	c.epochs[op]++
+	r := (*f)[n-1]
+	(*f)[n-1] = nil
+	*f = (*f)[:n-1]
+	return r
 }
+
+func (f *freeList[T]) push(r *T) { *f = append(*f, r) }
 
 // Op folds src into dst element-wise (a reduction operator).
 type Op func(dst, src []float64)
@@ -97,6 +107,9 @@ var Min Op = func(dst, src []float64) {
 	}
 }
 
+// barrierToken is every barrier message's payload; send copies it.
+var barrierToken = []byte{1}
+
 // Barrier blocks (in virtual time) until every rank has entered it,
 // using the dissemination algorithm: ceil(log2 n) rounds of one send
 // and one receive each. done fires when this rank may proceed.
@@ -110,9 +123,6 @@ func (c *Comm) Barrier(done func(error)) {
 	if n == 1 {
 		done(nil)
 		return
-	}
-	if c.epochs == nil {
-		c.epochs = make(map[int]int)
 	}
 	epoch := uint64(c.epochs[opBarrier])
 	c.barrierEnters.Add(1)
@@ -154,8 +164,8 @@ func (c *Comm) Barrier(done func(error)) {
 				round(k+1, dist*2)
 			}
 		}
-		c.Recv(from, tag, func(_ []byte, err error) { step(err) })
-		c.send(to, tag, []byte{1}, step)
+		c.recv(from, tag, false, func(_ []byte, err error) { step(err) })
+		c.send(to, tag, barrierToken, step)
 	}
 	round(0, 1)
 }
@@ -178,117 +188,273 @@ func bcastTree(vrank, n int) (parent int, children []int) {
 	return parent, children
 }
 
-// Bcast distributes root's data to every rank along a binomial tree.
-// On the root, data is the payload; elsewhere data is ignored. cb fires
-// with the payload once this rank has received and forwarded it.
-func (c *Comm) Bcast(root int, data []byte, cb func([]byte, error)) {
+// treeNode is one virtual rank's place in a binomial tree.
+type treeNode struct {
+	parent   int // -1 at the root
+	children []int
+}
+
+// tree returns the binomial tree over n group positions, indexed by
+// virtual (root-relative) rank.
+func (w *World) tree(n int) []treeNode {
+	w.treeMu.Lock()
+	defer w.treeMu.Unlock()
+	if n >= len(w.trees) {
+		w.trees = append(w.trees, make([][]treeNode, n+1-len(w.trees))...)
+	}
+	if w.trees[n] == nil {
+		t := make([]treeNode, n)
+		for v := range t {
+			t[v].parent, t[v].children = bcastTree(v, n)
+		}
+		w.trees[n] = t
+	}
+	return w.trees[n]
+}
+
+// Collective results are borrowed: the slice a Bcast, Reduce or
+// Allreduce callback receives lives in a pooled operation record and is
+// valid only until the callback returns, so a caller that keeps it
+// copies. A record returns to its pool only after its callback returns,
+// so a collective started inside the callback runs on another record
+// and never overwrites the result the callback holds. A Reduce (or the
+// Allreduce riding it) that saw an error is left to the garbage
+// collector: its other receives may still name it.
+
+// bcastOp is one rank's share of a broadcast: Bcast's bytes, or the
+// float vector of Allreduce's second phase. A vector is decoded where
+// it lands and forwarded re-encoded, which reproduces the received
+// bytes bit for bit.
+type bcastOp struct {
+	c        *Comm
+	cb       func([]byte, error)    // Bcast's callback
+	vecCB    func([]float64, error) // Allreduce's callback; set selects the vector
+	buf      []byte                 // Bcast: the payload received from the parent
+	payload  []byte                 // Bcast: what is forwarded and handed to cb
+	vec      []float64              // Allreduce: the result, forwarded and handed to vecCB
+	kids     []int                  // global ranks of the tree children
+	parent   int                    // global rank of the tree parent, -1 on the root
+	tag      int
+	pending  int
+	firstErr error
+	onParent func([]byte, error)
+	onSent   func(error)
+}
+
+// treeAt validates root and places this rank in the binomial tree of
+// one collective round: its parent (-1 on the root) and, appended to
+// kids[:0], its children, both as global ranks, plus the round's tag.
+func (c *Comm) treeAt(op int, name string, root int, kids *[]int) (parent, tag int, err error) {
 	g, me, ok := c.grp()
 	if !ok {
-		cb(nil, c.notMember())
-		return
+		return 0, 0, c.notMember()
 	}
 	ri := groupIndex(g, root)
 	if ri < 0 {
-		cb(nil, fmt.Errorf("mpi: bcast root %d is not in the communicator group", root))
-		return
+		return 0, 0, fmt.Errorf("mpi: %s root %d is not in the communicator group", name, root)
 	}
 	n := len(g)
-	tag := c.ctag(opBcast, 0)
-	c.bumpEpoch(opBcast)
-	vrank := (me - ri + n) % n
-	parent, children := bcastTree(vrank, n)
-	glob := func(v int) int { return g[(v+ri)%n] }
-
-	forward := func(payload []byte) {
-		pending := len(children)
-		if pending == 0 {
-			cb(payload, nil)
-			return
-		}
-		var firstErr error
-		for _, child := range children {
-			c.send(glob(child), tag, payload, func(err error) {
-				if err != nil && firstErr == nil {
-					firstErr = err
-				}
-				pending--
-				if pending == 0 {
-					cb(payload, firstErr)
-				}
-			})
-		}
+	tag = c.ctag(op, 0)
+	c.bumpEpoch(op)
+	node := c.w.tree(n)[(me-ri+n)%n]
+	parent = -1
+	if node.parent >= 0 {
+		parent = g[(node.parent+ri)%n]
 	}
-	if parent == -1 {
-		forward(data)
+	*kids = (*kids)[:0]
+	for _, v := range node.children {
+		*kids = append(*kids, g[(v+ri)%n])
+	}
+	return parent, tag, nil
+}
+
+// bcast takes a record for one broadcast from root; the caller sets
+// the callback and starts it.
+func (c *Comm) bcast(root int) (*bcastOp, error) {
+	b := c.bcastFree.pop()
+	if b == nil {
+		b = &bcastOp{c: c}
+		b.onParent, b.onSent = b.received, b.sent
+	}
+	var err error
+	if b.parent, b.tag, err = c.treeAt(opBcast, "bcast", root, &b.kids); err != nil {
+		c.bcastFree.push(b)
+		return nil, err
+	}
+	return b, nil
+}
+
+// Bcast distributes root's data to every rank along a binomial tree.
+// On the root, data is the payload, handed back to cb; elsewhere data
+// is ignored. cb fires with the payload once this rank has received
+// and forwarded it.
+func (c *Comm) Bcast(root int, data []byte, cb func([]byte, error)) {
+	b, err := c.bcast(root)
+	if err != nil {
+		cb(nil, err)
 		return
 	}
-	c.Recv(glob(parent), tag, func(payload []byte, err error) {
-		if err != nil {
-			cb(nil, err)
-			return
+	b.cb = cb
+	if b.parent == -1 {
+		b.payload = data
+		b.forward()
+		return
+	}
+	c.recv(b.parent, b.tag, false, b.onParent)
+}
+
+// received keeps the parent's borrowed payload in the record, then
+// forwards it.
+func (b *bcastOp) received(payload []byte, err error) {
+	if err == nil && b.vecCB != nil {
+		b.vec, err = readFloat64s(b.vec[:0], payload)
+	}
+	if err != nil {
+		b.finish(err)
+		return
+	}
+	if b.vecCB == nil {
+		b.buf = append(b.buf[:0], payload...)
+		b.payload = b.buf
+	}
+	b.forward()
+}
+
+func (b *bcastOp) forward() {
+	b.firstErr = nil
+	// One count holds the record while the loop runs, so a send that
+	// completes at once cannot finish the broadcast mid-loop.
+	b.pending = len(b.kids) + 1
+	for _, kid := range b.kids {
+		if b.vecCB != nil {
+			b.c.sendFloats(kid, b.tag, b.vec, b.onSent)
+		} else {
+			b.c.send(kid, b.tag, b.payload, b.onSent)
 		}
-		forward(payload)
-	})
+	}
+	b.sent(nil)
+}
+
+func (b *bcastOp) sent(err error) {
+	if err != nil && b.firstErr == nil {
+		b.firstErr = err
+	}
+	b.pending--
+	if b.pending == 0 {
+		b.finish(b.firstErr)
+	}
+}
+
+// finish hands the result to the callback, then recycles the record.
+// A failed receive leaves nothing outstanding, so it recycles too.
+func (b *bcastOp) finish(err error) {
+	switch {
+	case b.vecCB == nil:
+		b.cb(b.payload, err)
+	case err != nil:
+		b.vecCB(nil, err)
+	default:
+		b.vecCB(b.vec, nil)
+	}
+	b.cb, b.vecCB, b.payload, b.firstErr = nil, nil, nil, nil
+	b.c.bcastFree.push(b)
+}
+
+// reduceOp is one rank's share of a Reduce.
+type reduceOp struct {
+	c       *Comm
+	op      Op
+	cb      func([]float64, error)
+	acc     []float64 // the running reduction: the root's result
+	tmp     []float64 // a child's decoded contribution
+	kids    []int     // global ranks of the tree children
+	parent  int       // global rank of the tree parent, -1 on the root
+	tag     int
+	pending int
+	onChild func([]byte, error)
+	onSent  func(error)
 }
 
 // Reduce folds every rank's vector into the root along a binomial tree.
 // cb on the root receives the reduction; other ranks get nil.
 func (c *Comm) Reduce(root int, vec []float64, op Op, cb func([]float64, error)) {
-	g, me, ok := c.grp()
-	if !ok {
-		cb(nil, c.notMember())
+	r := c.reduceFree.pop()
+	if r == nil {
+		r = &reduceOp{c: c}
+		r.onChild, r.onSent = r.child, r.sent
+	}
+	var err error
+	if r.parent, r.tag, err = c.treeAt(opReduce, "reduce", root, &r.kids); err != nil {
+		c.reduceFree.push(r)
+		cb(nil, err)
 		return
 	}
-	ri := groupIndex(g, root)
-	if ri < 0 {
-		cb(nil, fmt.Errorf("mpi: reduce root %d is not in the communicator group", root))
+	r.op, r.cb = op, cb
+	r.acc = append(r.acc[:0], vec...)
+	r.pending = len(r.kids)
+	if r.pending == 0 {
+		r.finish()
 		return
 	}
-	n := len(g)
-	tag := c.ctag(opReduce, 0)
-	c.bumpEpoch(opReduce)
-	vrank := (me - ri + n) % n
-	parent, children := bcastTree(vrank, n)
-	glob := func(v int) int { return g[(v+ri)%n] }
+	// Only the last child's receive can complete the fold, so the
+	// record outlives this loop.
+	for _, kid := range r.kids {
+		c.recv(kid, r.tag, false, r.onChild)
+	}
+}
 
-	acc := append([]float64(nil), vec...)
-	pending := len(children)
-	finish := func() {
-		if parent == -1 {
-			cb(acc, nil)
-			return
-		}
-		c.send(glob(parent), tag, Float64s(acc), func(err error) {
-			cb(nil, err)
-		})
-	}
-	if pending == 0 {
-		finish()
+// child folds one child's borrowed contribution into the reduction.
+func (r *reduceOp) child(payload []byte, err error) {
+	if err != nil {
+		r.cb(nil, err)
 		return
 	}
-	for _, child := range children {
-		src := glob(child)
-		c.Recv(src, tag, func(payload []byte, err error) {
-			if err != nil {
-				cb(nil, err)
-				return
-			}
-			v, derr := ToFloat64s(payload)
-			if derr != nil {
-				cb(nil, derr)
-				return
-			}
-			if len(v) != len(acc) {
-				cb(nil, fmt.Errorf("mpi: reduce length mismatch: %d vs %d", len(v), len(acc)))
-				return
-			}
-			op(acc, v)
-			pending--
-			if pending == 0 {
-				finish()
-			}
-		})
+	v, err := readFloat64s(r.tmp[:0], payload)
+	if err != nil {
+		r.cb(nil, err)
+		return
 	}
+	r.tmp = v
+	if len(v) != len(r.acc) {
+		r.cb(nil, fmt.Errorf("mpi: reduce length mismatch: %d vs %d", len(v), len(r.acc)))
+		return
+	}
+	r.op(r.acc, v)
+	r.pending--
+	if r.pending == 0 {
+		r.finish()
+	}
+}
+
+// finish hands the root its result, or sends the partial reduction up.
+func (r *reduceOp) finish() {
+	if r.parent < 0 {
+		r.cb(r.acc, nil)
+		r.release()
+		return
+	}
+	r.c.sendFloats(r.parent, r.tag, r.acc, r.onSent)
+}
+
+// sent completes a non-root rank, whose callback borrows nothing.
+func (r *reduceOp) sent(err error) {
+	cb := r.cb
+	r.release()
+	cb(nil, err)
+}
+
+func (r *reduceOp) release() {
+	r.op, r.cb = nil, nil
+	r.c.reduceFree.push(r)
+}
+
+// allreduceOp carries an Allreduce's callback from its Reduce to its
+// broadcast, which then owns the result.
+type allreduceOp struct {
+	c           *Comm
+	root        int
+	cb          func([]float64, error)
+	afterReduce func([]float64, error)
 }
 
 // Allreduce gives every rank the reduction of all vectors (reduce to
@@ -299,25 +465,36 @@ func (c *Comm) Allreduce(vec []float64, op Op, cb func([]float64, error)) {
 		cb(nil, c.notMember())
 		return
 	}
-	root := g[0]
-	c.Reduce(root, vec, op, func(result []float64, err error) {
-		if err != nil {
-			cb(nil, err)
-			return
-		}
-		var payload []byte
-		if c.rank == root {
-			payload = Float64s(result)
-		}
-		c.Bcast(root, payload, func(data []byte, err error) {
-			if err != nil {
-				cb(nil, err)
-				return
-			}
-			out, derr := ToFloat64s(data)
-			cb(out, derr)
-		})
-	})
+	a := c.allreduceFree.pop()
+	if a == nil {
+		a = &allreduceOp{c: c}
+		a.afterReduce = a.reduced
+	}
+	a.root, a.cb = g[0], cb
+	c.Reduce(a.root, vec, op, a.afterReduce)
+}
+
+func (a *allreduceOp) reduced(result []float64, err error) {
+	cb := a.cb
+	if err != nil {
+		cb(nil, err) // Reduce may report again: leave a to the collector
+		return
+	}
+	c := a.c
+	b, err := c.bcast(a.root)
+	a.cb = nil
+	c.allreduceFree.push(a)
+	if err != nil {
+		cb(nil, err)
+		return
+	}
+	b.vecCB = cb
+	if b.parent == -1 {
+		b.vec = append(b.vec[:0], result...)
+		b.forward()
+		return
+	}
+	c.recv(b.parent, b.tag, false, b.onParent)
 }
 
 // Scatter distributes parts[i] from the root to the group's i-th
@@ -442,9 +619,6 @@ func (c *Comm) AllreduceRing(vec []float64, op Op, cb func([]float64, error)) {
 	}
 	// Snapshot this invocation's epoch before any step runs: the step
 	// closures fire long after the call returns.
-	if c.epochs == nil {
-		c.epochs = make(map[int]int)
-	}
 	e := c.epochs[opAllreduceRing]
 	c.epochs[opAllreduceRing]++
 	epoch := func(step int) int {
@@ -452,6 +626,7 @@ func (c *Comm) AllreduceRing(vec []float64, op Op, cb func([]float64, error)) {
 	}
 
 	acc := append([]float64(nil), vec...)
+	var tmp []float64 // a step's decoded chunk, reused
 	bound := func(i int) int { return i * len(vec) / n }
 	chunk := func(i int) []float64 { return acc[bound(i):bound(i+1)] }
 	right := g[(me+1)%n]
@@ -486,16 +661,15 @@ func (c *Comm) AllreduceRing(vec []float64, op Op, cb func([]float64, error)) {
 				reduceStep(s + 1)
 			}
 		}
-		c.Recv(left, tag, func(payload []byte, err error) {
+		c.recv(left, tag, false, func(payload []byte, err error) {
 			if err == nil {
-				var v []float64
-				if v, err = ToFloat64s(payload); err == nil {
-					op(chunk(recvIdx), v)
+				if tmp, err = readFloat64s(tmp[:0], payload); err == nil {
+					op(chunk(recvIdx), tmp)
 				}
 			}
 			done(err)
 		})
-		c.send(right, tag, Float64s(chunk(sendIdx)), done)
+		c.sendFloats(right, tag, chunk(sendIdx), done)
 	}
 	gatherStep = func(s int) {
 		if s >= n-1 {
@@ -520,16 +694,15 @@ func (c *Comm) AllreduceRing(vec []float64, op Op, cb func([]float64, error)) {
 				gatherStep(s + 1)
 			}
 		}
-		c.Recv(left, tag, func(payload []byte, err error) {
+		c.recv(left, tag, false, func(payload []byte, err error) {
 			if err == nil {
-				var v []float64
-				if v, err = ToFloat64s(payload); err == nil {
-					copy(chunk(recvIdx), v)
+				if tmp, err = readFloat64s(tmp[:0], payload); err == nil {
+					copy(chunk(recvIdx), tmp)
 				}
 			}
 			done(err)
 		})
-		c.send(right, tag, Float64s(chunk(sendIdx)), done)
+		c.sendFloats(right, tag, chunk(sendIdx), done)
 	}
 	reduceStep(0)
 }

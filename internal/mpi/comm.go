@@ -1,8 +1,10 @@
 package mpi
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/errs"
@@ -22,17 +24,22 @@ type Comm struct {
 	senders   []*msg.Sender   // senders[dst]: channel rank->dst
 	receivers []*msg.Receiver // receivers[src]: channel src->rank
 
-	inbox   map[int][]envelope // unmatched arrived messages, per source
-	waiting map[int][]*recvReq // posted receives, per source
+	peers []*peer // per source: matching queues and poll loop, built on first use
 
 	rndvBusy    []bool          // per dst: rendezvous region in use
 	rndvQueue   [][]sendTask    // per dst: sends waiting for the region
 	rndvWaiters [][]func(error) // per dst: senders awaiting their ack
 
-	pumpActive []bool // per src: a poll loop is live on that channel
-
-	epochs map[int]int // per-collective instance counters
+	epochs [opCount]int // per-collective instance counters
 	stats  Stats
+
+	// Free lists of the pooled operation records. Each record carries
+	// its buffers and its continuations, built once, so a steady-state
+	// send or collective allocates nothing.
+	sendFree      freeList[sendOp]
+	reduceFree    freeList[reduceOp]
+	bcastFree     freeList[bcastOp]
+	allreduceFree freeList[allreduceOp]
 
 	// World.Metrics series: written by the rank's partition only, read
 	// from any goroutine.
@@ -47,9 +54,13 @@ type Stats struct {
 	Unexpected uint64 // messages that arrived before their Recv
 }
 
+// recvReq is one posted receive. owned requests (the public Recv) get a
+// fresh copy of the payload; the collectives consume theirs inside the
+// callback and take it borrowed.
 type recvReq struct {
-	tag int32
-	cb  func([]byte, error)
+	tag   int32
+	owned bool
+	cb    func([]byte, error)
 }
 
 type sendTask struct {
@@ -66,12 +77,10 @@ func newComm(w *World, rank int, eng *sim.Engine, tracer trace.Tracer) *Comm {
 		tracer:      tracer,
 		senders:     make([]*msg.Sender, w.n),
 		receivers:   make([]*msg.Receiver, w.n),
-		inbox:       make(map[int][]envelope),
-		waiting:     make(map[int][]*recvReq),
+		peers:       make([]*peer, w.n),
 		rndvBusy:    make([]bool, w.n),
 		rndvQueue:   make([][]sendTask, w.n),
 		rndvWaiters: make([][]func(error), w.n),
-		pumpActive:  make([]bool, w.n),
 	}
 }
 
@@ -84,100 +93,142 @@ func (c *Comm) Size() int { return c.w.n }
 // Stats returns a copy of the counters.
 func (c *Comm) Stats() Stats { return c.stats }
 
+// peer is the receive side of the channel from one source: its
+// matching queues and its poll loop. One frame is in flight per
+// channel, so the loop's continuations are built once per source.
+type peer struct {
+	c       *Comm
+	src     int
+	active  bool       // a poll loop is live on the channel
+	inbox   []envelope // unmatched arrived messages (owned copies)
+	waiting []recvReq  // posted receives, in posting order
+	onFrame func([]byte, error)
+	resume  func()
+}
+
+func (c *Comm) peer(src int) *peer {
+	p := c.peers[src]
+	if p == nil {
+		p = &peer{c: c, src: src}
+		p.onFrame, p.resume = p.frame, p.next
+		c.peers[src] = p
+	}
+	return p
+}
+
 // need reports whether channel src must be polled: a receive is posted
 // or a rendezvous ack from that peer is outstanding. Demand-driven
 // pumping is what lets the event loop quiesce — a CPU that polls with
 // nothing to wait for would spin virtual time forever.
 func (c *Comm) need(src int) bool {
-	return len(c.waiting[src]) > 0 || len(c.rndvWaiters[src]) > 0
+	p := c.peers[src]
+	return (p != nil && len(p.waiting) > 0) || len(c.rndvWaiters[src]) > 0
 }
 
 // ensurePump starts the poll loop on channel src if it is needed and
 // not already live. Messages that arrive while nobody polls simply wait
 // in the ring — flow control holds the sender off once it fills.
 func (c *Comm) ensurePump(src int) {
-	if c.pumpActive[src] || !c.need(src) {
+	p := c.peer(src)
+	if p.active || !c.need(src) {
 		return
 	}
-	c.pumpActive[src] = true
-	c.pump(src)
+	p.active = true
+	p.poll()
 }
 
-func (c *Comm) pump(src int) {
-	c.receivers[src].Recv(func(raw []byte, err error) {
-		if err != nil {
-			// Protocol fault: surface it to every waiting receive.
-			c.pumpActive[src] = false
-			for _, req := range c.waiting[src] {
-				req.cb(nil, err)
-			}
-			c.waiting[src] = nil
-			return
+// poll receives the next frame borrowed: the envelope is decoded and
+// delivered, copied only where it must outlive the callback.
+func (p *peer) poll() { p.c.receivers[p.src].RecvBorrowed(p.onFrame) }
+
+func (p *peer) frame(raw []byte, err error) {
+	if err != nil {
+		// Protocol fault: surface it to every waiting receive.
+		p.active = false
+		for _, req := range p.waiting {
+			req.cb(nil, err)
 		}
-		env, derr := decodeEnvelope(raw)
-		if derr != nil {
-			c.pump(src)
-			return
-		}
-		c.dispatch(src, env, func() {
-			if c.need(src) {
-				c.pump(src)
-			} else {
-				c.pumpActive[src] = false
-			}
-		})
-	})
+		p.waiting = nil
+		return
+	}
+	env, derr := decodeEnvelope(raw)
+	if derr != nil {
+		p.poll()
+		return
+	}
+	p.c.dispatch(p, env)
 }
 
-// dispatch handles one arrived envelope, then continues via next.
-func (c *Comm) dispatch(src int, env envelope, next func()) {
+// next keeps polling while the channel is needed.
+func (p *peer) next() {
+	if p.c.need(p.src) {
+		p.poll()
+	} else {
+		p.active = false
+	}
+}
+
+// dispatch handles one arrived envelope, then continues p's poll
+// loop. The envelope's data is borrowed from the receive pump.
+func (c *Comm) dispatch(p *peer, env envelope) {
+	src := p.src
 	switch env.kind {
 	case kindEager:
-		c.deliver(src, env.tag, env.data)
-		next()
+		p.deliver(env.tag, env.data)
+		p.next()
 	case kindRndv:
 		off, length, err := decodeRndv(env.data)
 		if err != nil {
-			next()
+			p.next()
 			return
 		}
+		tag := env.tag
 		// Pull the payload out of the rendezvous region, ack, deliver.
 		c.receivers[src].ReadBulk(off, length, func(data []byte, err error) {
 			if err != nil {
-				next()
+				p.next()
 				return
 			}
-			ack := encodeEnvelope(envelope{kind: kindRndvAck, tag: env.tag})
+			ack := encodeEnvelope(envelope{kind: kindRndvAck, tag: tag})
 			c.senders[src].Send(ack, func(error) {})
-			// ReadBulk lends its buffer only until this callback returns.
-			c.deliver(src, env.tag, append([]byte(nil), data...))
-			next()
+			p.deliver(tag, data)
+			p.next()
 		})
 	case kindRndvAck:
 		c.rndvBusy[src] = false
 		c.drainRndvQueue(src)
-		next()
+		p.next()
 	default:
-		next()
+		p.next()
 	}
 }
 
 // deliver matches a payload against posted receives or parks it. data
-// is owned: an eager payload is a subslice of the fresh buffer msg.Recv
-// handed out, and rendezvous data is copied out of the borrowed bulk
-// read by the caller, so neither path copies again here.
-func (c *Comm) deliver(src int, tag int32, data []byte) {
-	reqs := c.waiting[src]
-	for i, req := range reqs {
+// is borrowed from the receive path: a posted collective receive takes
+// it as is, a public Recv takes a fresh copy, and an unexpected message
+// parks as an owned copy.
+func (p *peer) deliver(tag int32, data []byte) {
+	for i, req := range p.waiting {
 		if req.tag == AnyTag || req.tag == tag {
-			c.waiting[src] = append(reqs[:i:i], reqs[i+1:]...)
-			c.stats.Recvs++
+			p.waiting = deleteAt(p.waiting, i)
+			p.c.stats.Recvs++
+			if req.owned {
+				data = bytes.Clone(data)
+			}
 			req.cb(data, nil)
 			return
 		}
 	}
-	c.stats.Unexpected++
-	c.inbox[src] = append(c.inbox[src], envelope{kind: kindEager, tag: tag, data: data})
+	p.c.stats.Unexpected++
+	p.inbox = append(p.inbox, envelope{kind: kindEager, tag: tag, data: bytes.Clone(data)})
+}
+
+// deleteAt removes q[i] in place, keeping the order of the rest.
+func deleteAt[T any](q []T, i int) []T {
+	copy(q[i:], q[i+1:])
+	var zero T
+	q[len(q)-1] = zero
+	return q[:len(q)-1]
 }
 
 // Send transmits data to rank dst with the given tag. done fires when
@@ -199,20 +250,82 @@ func (c *Comm) Send(dst, tag int, data []byte, done func(error)) {
 // space). Every completion is watched for errs.ErrPeerDead — the one
 // failure a write-only fabric can detect, raised by a reliable channel
 // whose retransmit budget ran out — and feeds the world's failure
-// detector before reaching the caller.
+// detector before reaching the caller. An eager payload is copied into
+// a pooled envelope before send returns, so the caller's data is free
+// at once; a rendezvous payload must stay valid until done.
 func (c *Comm) send(dst, tag int, data []byte, done func(error)) {
+	if len(data) > c.w.cfg.EagerLimit {
+		c.sendLarge(dst, tag, data, done)
+		return
+	}
+	op := c.getSend(dst, tag, len(data), done)
+	op.env = append(op.env, data...)
+	c.sendEager(op)
+}
+
+// sendFloats sends vec as a float64 payload, encoding it straight into
+// the envelope.
+func (c *Comm) sendFloats(dst, tag int, vec []float64, done func(error)) {
+	if 8*len(vec) > c.w.cfg.EagerLimit {
+		c.sendLarge(dst, tag, Float64s(vec), done)
+		return
+	}
+	op := c.getSend(dst, tag, 8*len(vec), done)
+	op.env = appendFloat64s(op.env, vec)
+	c.sendEager(op)
+}
+
+// sendOp is one eager send in flight: its envelope image, which
+// msg.Sender.Send keeps until the frame is written, and the completion
+// that recycles both.
+type sendOp struct {
+	c    *Comm
+	dst  int
+	env  []byte
+	done func(error)
+	fin  func(error) // op.finish, bound once
+}
+
+// getSend takes a pooled send record and starts its envelope header.
+// The envelope grows once to fit an n-byte payload, so a record's
+// buffer ends sized to the largest message it carried.
+func (c *Comm) getSend(dst, tag, n int, done func(error)) *sendOp {
+	op := c.sendFree.pop()
+	if op == nil {
+		op = &sendOp{c: c}
+		op.fin = op.finish
+	}
+	op.dst, op.done = dst, done
+	op.env = appendEnvelopeHeader(slices.Grow(op.env[:0], envelopeHeader+n), kindEager, int32(tag))
+	return op
+}
+
+func (c *Comm) sendEager(op *sendOp) {
+	c.stats.EagerSends++
+	c.senders[op.dst].Send(op.env, op.fin)
+}
+
+// finish recycles the record — the frame is written, so its envelope
+// is free — and then completes the send.
+func (op *sendOp) finish(err error) {
+	c, dst, done := op.c, op.dst, op.done
+	op.done = nil
+	c.sendFree.push(op)
+	if err != nil && errors.Is(err, errs.ErrPeerDead) {
+		c.w.noteFault(dst)
+	}
+	done(err)
+}
+
+// sendLarge starts a rendezvous send, or queues it behind the one
+// already holding dst's region.
+func (c *Comm) sendLarge(dst, tag int, data []byte, done func(error)) {
 	inner := done
 	done = func(err error) {
 		if err != nil && errors.Is(err, errs.ErrPeerDead) {
 			c.w.noteFault(dst)
 		}
 		inner(err)
-	}
-	if len(data) <= c.w.cfg.EagerLimit {
-		c.stats.EagerSends++
-		env := encodeEnvelope(envelope{kind: kindEager, tag: int32(tag), data: data})
-		c.senders[dst].Send(env, done)
-		return
 	}
 	if c.rndvBusy[dst] {
 		c.rndvQueue[dst] = append(c.rndvQueue[dst], sendTask{tag: tag, data: data, done: done})
@@ -284,21 +397,29 @@ func (c *Comm) drainRndvQueue(dst int) {
 
 // Recv posts a receive for a message from rank src with the given tag
 // (or AnyTag). Out-of-order arrivals are matched from the unexpected-
-// message queue first.
+// message queue first. The payload cb receives is owned by the caller.
 func (c *Comm) Recv(src, tag int, cb func([]byte, error)) {
 	if src < 0 || src >= c.w.n || src == c.rank {
 		cb(nil, fmt.Errorf("mpi: invalid source rank %d", src))
 		return
 	}
-	for i, env := range c.inbox[src] {
+	c.recv(src, tag, true, cb)
+}
+
+// recv is the unchecked receive. Unless owned, the payload is borrowed
+// until cb returns.
+func (c *Comm) recv(src, tag int, owned bool, cb func([]byte, error)) {
+	p := c.peer(src)
+	for i, env := range p.inbox {
 		if tag == AnyTag || env.tag == int32(tag) {
-			c.inbox[src] = append(c.inbox[src][:i:i], c.inbox[src][i+1:]...)
+			// Parked as an owned copy, so either kind of receive takes it.
+			p.inbox = deleteAt(p.inbox, i)
 			c.stats.Recvs++
 			cb(env.data, nil)
 			return
 		}
 	}
-	c.waiting[src] = append(c.waiting[src], &recvReq{tag: int32(tag), cb: cb})
+	p.waiting = append(p.waiting, recvReq{tag: int32(tag), owned: owned, cb: cb})
 	c.ensurePump(src)
 }
 

@@ -3,6 +3,7 @@ package mpi
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -12,7 +13,7 @@ import (
 	"repro/internal/topology"
 )
 
-func world(t *testing.T, nodes int) (*core.Cluster, *World) {
+func world(t testing.TB, nodes int) (*core.Cluster, *World) {
 	t.Helper()
 	topo, err := topology.Chain(nodes)
 	if err != nil {
@@ -279,7 +280,7 @@ func TestBcast(t *testing.T) {
 			if err != nil {
 				t.Errorf("rank %d bcast: %v", r, err)
 			}
-			got[r] = d
+			got[r] = bytes.Clone(d) // borrowed until the callback returns
 		})
 	}
 	c.Run()
@@ -301,7 +302,7 @@ func TestReduceSum(t *testing.T) {
 				t.Errorf("rank %d reduce: %v", r, err)
 			}
 			if r == 0 {
-				rootGot = res
+				rootGot = slices.Clone(res)
 			} else if res != nil {
 				t.Errorf("non-root rank %d got a result", r)
 			}
@@ -322,7 +323,7 @@ func TestAllreduceMax(t *testing.T) {
 			if err != nil {
 				t.Errorf("rank %d allreduce: %v", r, err)
 			}
-			got[r] = res
+			got[r] = slices.Clone(res)
 		})
 	}
 	c.Run()
@@ -556,7 +557,7 @@ func TestAllreduceRingSmallVectorFallsBack(t *testing.T) {
 			if err != nil {
 				t.Errorf("rank %d: %v", r, err)
 			}
-			got[r] = res
+			got[r] = slices.Clone(res)
 		})
 	}
 	c.Run()
@@ -676,7 +677,7 @@ func TestAllreduceAlgorithmsAgreeProperty(t *testing.T) {
 			r := r
 			w.Rank(r).Allreduce(vals[r], Sum, func(res []float64, err error) {
 				if err == nil {
-					got[r] = res
+					got[r] = slices.Clone(res)
 				}
 			})
 		}

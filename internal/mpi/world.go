@@ -4,12 +4,20 @@
 // rendezvous transfers through one-sided Put regions, and tree/
 // dissemination collectives. Everything is callback-driven on the
 // simulation engine: an operation completes when its callback fires.
+//
+// Buffers follow one rule. A payload handed to Recv's callback is owned
+// by the caller. A collective's result (Bcast, Reduce, Allreduce,
+// AllreduceRing) is borrowed: it is valid until the callback returns,
+// and a collective started inside the callback never overwrites it.
+// Data passed to Send and the collectives is copied before they return,
+// except a rendezvous-sized payload, which must stay valid until done.
 package mpi
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/kernel"
 	"repro/internal/msg"
@@ -55,6 +63,12 @@ type World struct {
 	failed  map[int]bool
 	group   []int
 	deadCBs []func(rank int)
+
+	// trees[n] is the binomial tree over n group positions, built on
+	// first use. Positions are root-relative, so one tree serves every
+	// root. Ranks on different partitions share it, hence the lock.
+	treeMu sync.Mutex
+	trees  [][]treeNode
 }
 
 // NewWorld opens channels between every pair of nodes and starts the
@@ -207,11 +221,14 @@ type envelope struct {
 }
 
 func encodeEnvelope(e envelope) []byte {
-	buf := make([]byte, envelopeHeader+len(e.data))
-	buf[0] = e.kind
-	binary.LittleEndian.PutUint32(buf[4:8], uint32(e.tag))
-	copy(buf[envelopeHeader:], e.data)
-	return buf
+	buf := appendEnvelopeHeader(make([]byte, 0, envelopeHeader+len(e.data)), e.kind, e.tag)
+	return append(buf, e.data...)
+}
+
+// appendEnvelopeHeader appends an envelope header to b.
+func appendEnvelopeHeader(b []byte, kind byte, tag int32) []byte {
+	b = append(b, kind, 0, 0, 0)
+	return binary.LittleEndian.AppendUint32(b, uint32(tag))
 }
 
 func decodeEnvelope(b []byte) (envelope, error) {
@@ -241,21 +258,34 @@ func decodeRndv(b []byte) (uint64, int, error) {
 
 // Float64s encodes a float64 vector for reduction payloads.
 func Float64s(v []float64) []byte {
-	buf := make([]byte, 8*len(v))
-	for i, f := range v {
-		binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(f))
+	return appendFloat64s(make([]byte, 0, 8*len(v)), v)
+}
+
+// appendFloat64s appends v's little-endian encoding to b.
+func appendFloat64s(b []byte, v []float64) []byte {
+	for _, f := range v {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
 	}
-	return buf
+	return b
 }
 
 // ToFloat64s decodes a reduction payload.
 func ToFloat64s(b []byte) ([]float64, error) {
+	return readFloat64s(nil, b)
+}
+
+// readFloat64s decodes b into dst's backing array, grown as needed.
+func readFloat64s(dst []float64, b []byte) ([]float64, error) {
 	if len(b)%8 != 0 {
 		return nil, fmt.Errorf("mpi: float payload %d bytes not a multiple of 8", len(b))
 	}
-	out := make([]float64, len(b)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
+	n := len(b) / 8
+	if dst == nil || cap(dst) < n {
+		dst = make([]float64, n)
 	}
-	return out, nil
+	dst = dst[:n]
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
+	}
+	return dst, nil
 }

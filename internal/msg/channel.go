@@ -1,6 +1,7 @@
 package msg
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -129,17 +130,18 @@ type Sender struct {
 	// in-flight frame's state lives on the sender — one send at a time
 	// — so the write chain runs on continuations built once per sender
 	// instead of a closure tree per frame.
-	busy  bool
-	queue []queuedSend
-	qHead int
+	busy    bool
+	curWrap bool // the in-flight store is a wrap marker, not a frame
+	queue   []queuedSend
+	qHead   int
 
-	scratch    []byte // reusable frame image (unreliable mode only)
+	scratch    []byte // reusable frame or wrap-marker image (unreliable mode only)
 	curPayload []byte // payload of the send awaiting reservation
-	curOff     uint64
+	curOff     uint64 // ring offset of the frame or wrap marker being stored
 	curFS      uint64
 	curSeq     uint32
 	curLen     int
-	curFrame   []byte
+	curFrame   []byte // store image of the frame or wrap marker
 	curDone    func(error)
 	resNeed    uint64 // reserve() state: bytes needed (incl. wrap padding)
 	resFS      uint64
@@ -213,7 +215,8 @@ func (s *Sender) MaxMessage() int { return s.par.MaxMessage() }
 // reliable mode done instead fires when the receiver's cumulative ack
 // covers the frame (or with errs.ErrPeerDead once the retransmit
 // budget is exhausted). Send blocks (in virtual time, polling the
-// flow-control slot) while the ring is full.
+// flow-control slot) while the ring is full. Send keeps payload until
+// the frame is written, so the caller may reuse it once done fires.
 func (s *Sender) Send(payload []byte, done func(error)) {
 	if s.dead {
 		done(s.deadErr())
@@ -285,7 +288,7 @@ func (s *Sender) reserve(fs uint64, cont func(error)) {
 			}
 			if ring-(s.sent-s.consumed) >= s.resNeed {
 				if off+s.resFS > ring {
-					s.writeWrap(ring-off, s.resCont)
+					s.writeWrap()
 					return
 				}
 				s.resCont(nil)
@@ -362,25 +365,39 @@ func (s *Sender) onFCDoorbell(uint64, int) {
 }
 
 // writeWrap emits a wrap-marker frame covering the remainder to the
-// ring end.
-func (s *Sender) writeWrap(remainder uint64, done func(error)) {
-	off := s.sent % s.par.RingBytes
-	hdr := packHeader(wrapMark, s.seq)
+// ring end, then continues the reservation (s.resCont). The marker is
+// the in-flight store: it rides the frame's cur* state and its
+// single-line store chain, flagged by curWrap. Unreliable mode stores
+// it from the scratch image; reliable mode allocates one, since the
+// image is retained for retransmission.
+func (s *Sender) writeWrap() {
+	s.curOff, s.curWrap = s.sent%s.par.RingBytes, true
+	if s.par.Reliable {
+		s.curFrame = packHeader(wrapMark, s.seq)
+	} else {
+		s.scratch = binary.LittleEndian.AppendUint32(s.scratch[:0], wrapMark)
+		s.scratch = binary.LittleEndian.AppendUint32(s.scratch, s.seq)
+		s.curFrame = s.scratch
+	}
 	s.stats.WrapFrames++
-	s.ring.Write(off, hdr, func(err error) {
-		if err != nil {
-			done(err)
-			return
-		}
-		s.ring.Sync(func() {
-			s.sent += remainder
-			if s.par.Reliable && !s.dead {
-				s.unacked = append(s.unacked, relFrame{seq: s.seq, off: off, img: hdr, wrap: true})
-				s.armTimer(s.par.AckTimeout)
-			}
-			done(nil)
-		})
-	})
+	s.ensureWriteChain()
+	s.ring.Write(s.curOff, s.curFrame, s.wfSingle)
+}
+
+// finishWrap completes the in-flight wrap marker.
+func (s *Sender) finishWrap(err error) {
+	img := s.curFrame
+	s.curFrame, s.curWrap = nil, false
+	if err != nil {
+		s.resCont(err)
+		return
+	}
+	s.sent += s.par.RingBytes - s.curOff
+	if s.par.Reliable && !s.dead {
+		s.unacked = append(s.unacked, relFrame{seq: s.seq, off: s.curOff, img: img, wrap: true})
+		s.armTimer(s.par.AckTimeout)
+	}
+	s.resCont(nil)
 }
 
 // writeFrame stores the frame and then continues the send queue. done
@@ -445,6 +462,10 @@ func (s *Sender) ensureWriteChain() {
 
 // finishFrame completes the in-flight frame and re-enters the queue.
 func (s *Sender) finishFrame(err error) {
+	if s.curWrap {
+		s.finishWrap(err)
+		return
+	}
 	done, frame := s.curDone, s.curFrame
 	s.curDone, s.curFrame = nil, nil
 	if err != nil {
@@ -669,6 +690,8 @@ type Receiver struct {
 	pollCB  func([]byte, error)
 	pollOff uint64
 	peekFn  func([]byte, error)
+	ownCB   func([]byte, error) // Recv's caller, served by ownFn
+	ownFn   func([]byte, error)
 
 	// Doorbell state (Params.Doorbell, opt-in). Instead of spinning
 	// uncached reads on an empty ring, the poll loop parks; the NB
@@ -696,8 +719,7 @@ type Receiver struct {
 	csOff     uint64
 	csFS      uint64
 	csLen     int
-	csPeek    []byte   // long frame's first line, parked in csPeekBuf
-	csPeekBuf [64]byte // receiver-owned copy of the borrowed peek
+	csBuf     []byte // long-frame assembly buffer, lent to each delivery
 	csTail    func([]byte, error)
 	fhAcked   bool
 	fhDone    func(error)
@@ -747,10 +769,31 @@ func (r *Receiver) ReadBulk(off uint64, n int, cb func([]byte, error)) {
 // scrubbing whole payloads with uncached stores would cost microseconds
 // per frame. The poll loop advances virtual time by one uncached DRAM
 // read per iteration, exactly like the real polling receive. Recv is
-// the read-buffer ownership boundary: the loads beneath it lend their
-// buffers, but the payload handed to cb is freshly allocated and
-// belongs to the caller.
+// the read-buffer ownership boundary: it runs RecvBorrowed and copies
+// the payload at its edge, so the slice handed to cb is freshly
+// allocated and belongs to the caller.
 func (r *Receiver) Recv(cb func([]byte, error)) {
+	r.ownCB = cb
+	if r.ownFn == nil {
+		r.ownFn = r.deliverOwned
+	}
+	r.RecvBorrowed(r.ownFn)
+}
+
+// deliverOwned is Recv's completion: the copy that turns the borrowed
+// payload into the caller's own.
+func (r *Receiver) deliverOwned(d []byte, err error) {
+	cb := r.ownCB
+	r.ownCB = nil
+	cb(bytes.Clone(d), err)
+}
+
+// RecvBorrowed is Recv without the copy: the payload cb receives is
+// borrowed from the receiver and the load path, valid only until cb
+// returns, so a caller that keeps it copies. A caller that consumes the
+// payload inside cb (MPI's receive pump decodes or copies each envelope
+// where it lands) receives every message without allocating.
+func (r *Receiver) RecvBorrowed(cb func([]byte, error)) {
 	r.stopped = false
 	r.pollCB = cb
 	if r.prof != nil {
@@ -871,29 +914,29 @@ func (r *Receiver) consume(off uint64, length int, peek []byte, cb func([]byte, 
 	r.expectSeq++
 	r.csOff, r.csFS, r.csLen = off, frameSize(length), length
 	if headerBytes+length <= len(peek) {
-		// Short frame: the peek read holds the whole payload. The copy
-		// is the delivery allocation — ownership passes to the callback.
-		r.deliver(append([]byte(nil), peek[headerBytes:headerBytes+length]...), cb)
+		// Short frame: the peek read holds the whole payload, delivered
+		// borrowed straight out of the load buffer.
+		r.deliver(peek[headerBytes:headerBytes+length], cb)
 		return
 	}
 	// Long frame: the tail is guaranteed visible (sender fenced payload
 	// before header), so drain it with pipelined streaming loads. peek
 	// is borrowed from the load path and dies when this callback
-	// returns, so it parks in the receiver's own line buffer until the
-	// tail arrives.
-	r.csPeek = r.csPeekBuf[:copy(r.csPeekBuf[:], peek)]
+	// returns, so its payload part starts the receiver's assembly
+	// buffer, which grows to the largest message seen and is lent to
+	// each delivery in turn.
+	if cap(r.csBuf) < length {
+		r.csBuf = make([]byte, 0, length)
+	}
+	r.csBuf = append(r.csBuf[:0], peek[headerBytes:]...)
 	if r.csTail == nil {
 		r.csTail = func(tail []byte, err error) {
-			peek, cb := r.csPeek, r.pollCB
-			r.csPeek = nil
 			if err != nil {
-				cb(nil, err)
+				r.pollCB(nil, err)
 				return
 			}
-			payload := make([]byte, 0, r.csLen)
-			payload = append(payload, peek[headerBytes:]...)
-			payload = append(payload, tail[:r.csLen-(len(peek)-headerBytes)]...)
-			r.deliver(payload, cb)
+			r.csBuf = append(r.csBuf, tail[:r.csLen-len(r.csBuf)]...)
+			r.deliver(r.csBuf, r.pollCB)
 		}
 	}
 	rest := length - (len(peek) - headerBytes)

@@ -2,6 +2,7 @@ package tccluster_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	tccluster "repro"
@@ -61,7 +62,7 @@ func TestPublicAPIMPIAndPGAS(t *testing.T) {
 			if err != nil {
 				t.Errorf("allreduce: %v", err)
 			}
-			results[rk] = v
+			results[rk] = slices.Clone(v) // v is borrowed until the callback returns
 		})
 	}
 	c.Run()
