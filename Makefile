@@ -77,11 +77,14 @@ scenario-smoke:
 	$(GO) run ./cmd/tccrun -check -out scenario-results scenarios/serve-chain16-crash.json
 
 # Short fuzz of the message-library wire format (frame build/parse and
-# receiver-side header classification) and the scenario serve block
+# receiver-side header classification), the scenario serve block
 # (strict JSON decode + lowering: whatever Parse accepts, serve.Config
-# must accept too). The committed corpus runs on every plain `go test`;
-# this target spends a little extra time looking for new inputs.
+# must accept too) and route validation (on random route tables,
+# topology.Validate must agree with the pairwise hop walk). The
+# committed corpus runs on every plain `go test`; this target spends a
+# little extra time looking for new inputs.
 fuzz:
 	$(GO) test ./internal/msg -run=NONE -fuzz=FuzzFrameRoundTrip -fuzztime=10s
 	$(GO) test ./internal/msg -run=NONE -fuzz=FuzzHeaderClassification -fuzztime=10s
 	$(GO) test ./internal/scenario -run=NONE -fuzz=FuzzServeSpec -fuzztime=10s
+	$(GO) test ./internal/topology -run=NONE -fuzz=FuzzValidateMatchesHopWalk -fuzztime=10s

@@ -68,32 +68,40 @@ type Node struct {
 // one architectural limit it leaves to New, which finds it while
 // assigning HT links.
 func Validate(topo *topology.Topology, cfg Config) (Config, error) {
+	cfg, _, err := validate(topo, cfg)
+	return cfg, err
+}
+
+// validate is Validate, also returning every node's address intervals,
+// which New programs into the MMIO ranges.
+func validate(topo *topology.Topology, cfg Config) (Config, [][]topology.Interval, error) {
 	if cfg.MemPerNode == 0 {
 		cfg = fillDefaults(cfg)
 	}
 	if cfg.SocketsPerNode < 1 || cfg.SocketsPerNode > nb.MaxNodes {
-		return cfg, fmt.Errorf("core: %d sockets per node out of range 1..%d: %w", cfg.SocketsPerNode, nb.MaxNodes, errs.ErrBadConfig)
+		return cfg, nil, fmt.Errorf("core: %d sockets per node out of range 1..%d: %w", cfg.SocketsPerNode, nb.MaxNodes, errs.ErrBadConfig)
 	}
 	if cfg.CoresPerSocket < 1 || cfg.CoresPerSocket > 8 {
-		return cfg, fmt.Errorf("core: %d cores per socket out of range 1..8: %w", cfg.CoresPerSocket, errs.ErrBadConfig)
+		return cfg, nil, fmt.Errorf("core: %d cores per socket out of range 1..8: %w", cfg.CoresPerSocket, errs.ErrBadConfig)
 	}
 	if cfg.Parallel < 0 {
-		return cfg, fmt.Errorf("core: negative Parallel %d: %w", cfg.Parallel, errs.ErrBadConfig)
+		return cfg, nil, fmt.Errorf("core: negative Parallel %d: %w", cfg.Parallel, errs.ErrBadConfig)
 	}
 	if cfg.Parallel > 1 && cfg.LegacyEventQueue {
-		return cfg, fmt.Errorf("core: Parallel is incompatible with LegacyEventQueue — the legacy queue is the serial reference: %w", errs.ErrBadConfig)
+		return cfg, nil, fmt.Errorf("core: Parallel is incompatible with LegacyEventQueue — the legacy queue is the serial reference: %w", errs.ErrBadConfig)
 	}
 	if err := topo.Validate(); err != nil {
-		return cfg, err
+		return cfg, nil, err
 	}
-	if err := topo.CheckIntervalRoutable(nb.NumMMIORanges - 1); err != nil {
-		return cfg, err
+	ivs, err := topo.RoutableIntervals(nb.NumMMIORanges - 1)
+	if err != nil {
+		return cfg, nil, err
 	}
 	if uint64(topo.N())*cfg.MemPerNode > 1<<nb.PhysAddrBits {
-		return cfg, fmt.Errorf("core: %d nodes x %#x bytes exceeds the 48-bit physical space (256 TB, §IV.D): %w",
+		return cfg, nil, fmt.Errorf("core: %d nodes x %#x bytes exceeds the 48-bit physical space (256 TB, §IV.D): %w",
 			topo.N(), cfg.MemPerNode, errs.ErrBadConfig)
 	}
-	return cfg, nil
+	return cfg, ivs, nil
 }
 
 // New builds and boots a cluster over the given topology. It returns an
@@ -102,7 +110,7 @@ func Validate(topo *topology.Topology, cfg Config) (Config, error) {
 // file (both checked by Validate), or more external ports than the
 // sockets can supply.
 func New(topo *topology.Topology, cfg Config) (*Cluster, error) {
-	cfg, err := Validate(topo, cfg)
+	cfg, ivs, err := validate(topo, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -116,6 +124,14 @@ func New(topo *topology.Topology, cfg Config) (*Cluster, error) {
 	type slot struct{ socket, link int }
 	extSlots := make([]map[int]slot, topo.N()) // node -> topology port -> (socket, link)
 	free := make([][][]int, topo.N())          // node -> socket -> free link indices
+
+	// The flash device behind each southbridge holds a deterministic
+	// "firmware image" the CAR phase fetches at flash speed. Flash is
+	// read-only, so every node shares one image.
+	image := make([]byte, 4096)
+	for b := range image {
+		image[b] = byte(b*31 + 7)
+	}
 
 	// Build machines: sockets, cores, southbridge, internal chain.
 	memPerSocket := cfg.MemPerNode / uint64(cfg.SocketsPerNode)
@@ -152,12 +168,6 @@ func New(topo *topology.Topology, cfg Config) (*Cluster, error) {
 			return nil, err
 		}
 		m.SetSouthbridge(sbl, sb)
-		// The flash device behind the southbridge holds a deterministic
-		// "firmware image" the CAR phase fetches at flash speed.
-		image := make([]byte, 4096)
-		for b := range image {
-			image[b] = byte(b*31 + 7)
-		}
 		flash, err := southbridge.New(c.eng, image, southbridge.DefaultParams())
 		if err != nil {
 			return nil, err
@@ -257,7 +267,7 @@ func New(topo *topology.Topology, cfg Config) (*Cluster, error) {
 	cfgs := make([]firmware.BootConfig, topo.N())
 	for i := 0; i < topo.N(); i++ {
 		var routes []firmware.RemoteRoute
-		for _, iv := range topo.Intervals(i) {
+		for _, iv := range ivs[i] {
 			s := extSlots[i][iv.Port]
 			routes = append(routes, firmware.RemoteRoute{
 				LoNode: iv.Lo, HiNode: iv.Hi, Proc: s.socket, Link: s.link,

@@ -50,28 +50,39 @@ func (c *BootConfig) Validate(numProcs int) error {
 	}
 	// Remote routes must tile [0,NumNodes) minus Rank exactly: the
 	// northbridge's interval routing cannot express holes (§IV.D).
-	covered := make([]int, c.NumNodes)
 	for _, r := range c.RemoteRoutes {
 		if r.LoNode > r.HiNode || r.LoNode < 0 || r.HiNode >= c.NumNodes {
 			return fmt.Errorf("firmware: remote route [%d,%d] out of range", r.LoNode, r.HiNode)
 		}
-		for n := r.LoNode; n <= r.HiNode; n++ {
-			covered[n]++
-		}
 	}
-	for n := 0; n < c.NumNodes; n++ {
+	// Coverage is constant between route edges and the rank, so only
+	// the first node of each such segment needs checking.
+	for n := 0; n < c.NumNodes; {
+		covered, next := 0, c.NumNodes
+		if n < c.Rank {
+			next = c.Rank
+		} else if n == c.Rank {
+			next = n + 1
+		}
+		for _, r := range c.RemoteRoutes {
+			switch {
+			case n < r.LoNode:
+				next = min(next, r.LoNode)
+			case n <= r.HiNode:
+				covered++
+				next = min(next, r.HiNode+1)
+			}
+		}
 		if n == c.Rank {
-			if covered[n] != 0 {
+			if covered != 0 {
 				return fmt.Errorf("firmware: remote route covers own rank %d", n)
 			}
-			continue
-		}
-		if covered[n] == 0 {
+		} else if covered == 0 {
 			return fmt.Errorf("firmware: node %d unreachable (address-space hole)", n)
+		} else if covered > 1 {
+			return fmt.Errorf("firmware: node %d covered by %d routes (overlap)", n, covered)
 		}
-		if covered[n] > 1 {
-			return fmt.Errorf("firmware: node %d covered by %d routes (overlap)", n, covered[n])
-		}
+		n = next
 	}
 	if len(c.RemoteRoutes) > nb.NumMMIORanges-1 {
 		return fmt.Errorf("firmware: %d remote routes exceed %d MMIO ranges (one reserved for IO)",
@@ -157,41 +168,41 @@ func (m *Machine) PhaseCARFetch(fetchBytes int) error {
 	}
 	start := m.Eng.Now()
 	// Each line read lands directly at its offset in fetched, which the
-	// loop keeps: the ROM image is the one read result retained.
+	// loop keeps: the ROM image is the one read result retained. One
+	// continuation issues every line: off advances as each one lands.
 	fetched := make([]byte, fetchBytes)
-	got := 0
+	off := 0
 	var ferr error
-	done := false
-	var fetch func(off int)
-	fetch = func(off int) {
-		if off >= fetchBytes {
-			done = true
+	var line func([]byte, error)
+	issue := func() {
+		n := min(64, fetchBytes-off)
+		bsp.CPURead(southbridge.ROMBase+uint64(off), fetched[off:off+n], line)
+	}
+	line = func(b []byte, err error) {
+		if err != nil {
+			ferr = err
 			return
 		}
-		n := 64
-		if fetchBytes-off < n {
-			n = fetchBytes - off
+		if off += len(b); off < fetchBytes {
+			issue()
 		}
-		bsp.CPURead(southbridge.ROMBase+uint64(off), fetched[off:off+n], func(_ []byte, err error) {
-			if err != nil {
-				ferr = err
-				done = true
-				return
-			}
-			got = off + n
-			fetch(off + n)
-		})
 	}
-	fetch(0)
+	issue()
 	m.Eng.Run()
 	if ferr != nil {
 		return fmt.Errorf("firmware(%s): CAR fetch: %w", m.Name, ferr)
 	}
-	if !done || got != fetchBytes {
-		return fmt.Errorf("firmware(%s): CAR fetch stalled at %d of %d bytes", m.Name, got, fetchBytes)
+	if off != fetchBytes {
+		return fmt.Errorf("firmware(%s): CAR fetch stalled at %d of %d bytes", m.Name, off, fetchBytes)
 	}
-	for i := range fetched {
-		if fetched[i] != m.flash.ROM()[i] {
+	// The flash window reads zeros past the image.
+	image := m.flash.Image()
+	for i, b := range fetched {
+		want := byte(0)
+		if i < len(image) {
+			want = image[i]
+		}
+		if b != want {
 			return fmt.Errorf("firmware(%s): CAR fetch corrupted at byte %d", m.Name, i)
 		}
 	}

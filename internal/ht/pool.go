@@ -142,6 +142,27 @@ func (pp *PacketPool) ReadResponse(tag uint8, data []byte) (*Packet, error) {
 	return p, nil
 }
 
+// ReadResponseBuffer builds a pooled read response carrying n zeroed
+// payload bytes in the packet's own reusable buffer, for the producer
+// to fill before sending. Unlike ReadResponse the payload does not
+// escape: Release reclaims the buffer, so the matching callback copies
+// whatever it keeps.
+func (pp *PacketPool) ReadResponseBuffer(tag uint8, n int) (*Packet, error) {
+	if n <= 0 || n > MaxPayload || n%DwordBytes != 0 {
+		return nil, fmt.Errorf("ht: response payload must be dword-granular 4..%d, got %d", MaxPayload, n)
+	}
+	p := pp.Get()
+	p.Cmd = CmdRdResp
+	p.SrcTag = tag
+	p.Count = uint8(n/DwordBytes - 1)
+	p.Data = append(p.Data[:0], make([]byte, n)...)
+	if err := p.Validate(); err != nil {
+		p.Release()
+		return nil, err
+	}
+	return p, nil
+}
+
 // Broadcast builds a pooled broadcast (interrupt-class) packet.
 func (pp *PacketPool) Broadcast(addr uint64) *Packet {
 	p := pp.Get()

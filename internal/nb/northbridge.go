@@ -170,9 +170,11 @@ const (
 )
 
 // nbRec carries one packet (or read request) through a pipeline-stage
-// event. Records are pooled per northbridge; the three callback fields
-// are built once per record, capture only the record pointer, and
-// survive recycling — so a steady-state DRAM delivery allocates nothing.
+// event, or a remote CPU read through the matching table. Records are
+// pooled per northbridge; the callback fields are built once per record
+// (rdMatch on the record's first remote read), capture only the record
+// pointer, and survive recycling — so a steady-state DRAM delivery or
+// flash read allocates nothing.
 type nbRec struct {
 	next    *nbRec
 	pkt     *ht.Packet
@@ -183,12 +185,13 @@ type nbRec struct {
 	nBytes  int
 	tag     uint8
 	srcNode int
-	rdDst   []byte // CPU-local read destination (caller-owned)
+	rdDst   []byte // CPU read destination (caller-owned)
 	rdCB    func([]byte, error)
 
 	wrVisible func(error)         // posted-write visibility in DRAM
 	npVisible func(error)         // non-posted write visibility -> TgtDone
 	rdDone    func([]byte, error) // DRAM read completion -> RdResp
+	rdMatch   func(*ht.Packet)    // remote CPU read's response -> rdDst
 }
 
 func (n *Northbridge) getRec() *nbRec {
@@ -730,9 +733,10 @@ func (n *Northbridge) routeResponse(resp *ht.Packet) {
 			n.cnt.orphanResponses.Add(1)
 		}
 		// Terminal: the matching callback has consumed the response.
-		// Read responses adopted their payload, so recycling returns
+		// A DRAM read response adopted its payload, so recycling returns
 		// only the struct — the Data the callback may retain is never
-		// reclaimed by the pool.
+		// reclaimed by the pool. A flash read response owns its buffer,
+		// which CPURead's callback copies out before this release.
 		n.recycle(resp)
 		return
 	}
@@ -869,10 +873,12 @@ func (n *Northbridge) CPUWrite(addr uint64, data []byte, posted bool, completion
 
 // CPURead issues a sized read of len(dst) bytes from the local cores
 // into dst, which the caller owns; on success cb receives dst. For local
-// DRAM the memory controller reads straight into dst, allocating
-// nothing; for anything remote, a tag is allocated and the response —
-// copied into dst on arrival — must find its way home, which it cannot
-// across a TCCluster link, making the read hang until HangCheck notices.
+// DRAM the memory controller reads straight into dst. For anything
+// remote, a tag is allocated and the response — copied into dst on
+// arrival — must find its way home, which it cannot across a TCCluster
+// link, making the read hang until HangCheck notices. Neither path
+// allocates in steady state: the remote one holds a pooled record whose
+// matching callback is built once.
 func (n *Northbridge) CPURead(addr uint64, dst []byte, cb func([]byte, error)) {
 	d := n.DecodeAddress(addr)
 	if d.Kind == DecideLocalDRAM {
@@ -891,11 +897,14 @@ func (n *Northbridge) CPURead(addr uint64, dst []byte, cb func([]byte, error)) {
 		n.eng.Schedule(at+n.par.HopLatency, n, sim.EventArg{Ptr: rec, I: nbOpLocalRead})
 		return
 	}
-	tag, err := n.match.Alloc(func(resp *ht.Packet) {
-		copy(dst, resp.Data) // the response is sized by the request
-		cb(dst, nil)
-	})
+	rec := n.getRec()
+	rec.rdDst, rec.rdCB = dst, cb
+	if rec.rdMatch == nil {
+		rec.rdMatch = func(resp *ht.Packet) { n.remoteReadDone(rec, resp) }
+	}
+	tag, err := n.match.Alloc(rec.rdMatch)
 	if err != nil {
+		n.putRec(rec)
 		n.cnt.tagExhausted.Add(1)
 		cb(nil, err)
 		return
@@ -906,6 +915,16 @@ func (n *Northbridge) CPURead(addr uint64, dst []byte, cb func([]byte, error)) {
 		return
 	}
 	n.InjectFromCPU(pkt, nil)
+}
+
+// remoteReadDone completes a remote CPURead: the response, sized by
+// the request, is copied into the caller's buffer before its terminal
+// consumer recycles it.
+func (n *Northbridge) remoteReadDone(rec *nbRec, resp *ht.Packet) {
+	dst, cb := rec.rdDst, rec.rdCB
+	n.putRec(rec)
+	copy(dst, resp.Data)
+	cb(dst, nil)
 }
 
 // CPUBroadcast issues a broadcast (interrupt-class) packet from the

@@ -102,3 +102,50 @@ func TestOversizedImageRejected(t *testing.T) {
 		t.Error("oversized flash image accepted")
 	}
 }
+
+// TestReadsPastImageReturnZeros: the window is 64 KB whatever the image
+// size; a read straddling the image's end returns its tail then zeros,
+// one past it only zeros, and reads leaving the window still abort.
+func TestReadsPastImageReturnZeros(t *testing.T) {
+	image := make([]byte, 96)
+	for i := range image {
+		image[i] = byte(i + 1)
+	}
+	eng, l, d := device(t, image)
+	var got [][]byte
+	l.A().SetSink(func(p *ht.Packet, done func()) {
+		got = append(got, append([]byte(nil), p.Data...))
+		done()
+		p.Release()
+	})
+	for _, addr := range []uint64{
+		ROMBase + 64,             // straddles the image's end
+		ROMBase + 4096,           // past the image
+		ROMBase + ROMWindow - 64, // the window's last line
+		ROMBase + ROMWindow - 32, // runs off the window: abort
+		ROMBase + ROMWindow,      // above the window: abort
+		ROMBase - 4,              // below the window: abort
+	} {
+		rd, err := ht.NewRead(addr, 64, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.A().Send(rd); err != nil {
+			t.Fatal(err)
+		}
+		eng.Run()
+	}
+	want := [][]byte{
+		append(append([]byte(nil), image[64:]...), make([]byte, 32)...),
+		make([]byte, 64),
+		make([]byte, 64),
+	}
+	if len(got) != len(want) || d.Reads() != uint64(len(want)) {
+		t.Fatalf("%d responses, %d reads served, want %d in-window reads answered", len(got), d.Reads(), len(want))
+	}
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Errorf("read %d returned %v, want %v", i, got[i], want[i])
+		}
+	}
+}

@@ -51,28 +51,81 @@ func (t *Topology) MaxIntervals() int {
 // MMIO register pairs. The Opteron has 8 pairs; TCCluster configurations
 // reserve one for real IO (southbridge/APIC space), leaving 7.
 func (t *Topology) CheckIntervalRoutable(maxRanges int) error {
-	for node := 0; node < t.n; node++ {
-		if c := len(t.Intervals(node)); c > maxRanges {
-			return fmt.Errorf("topology: node %d needs %d address intervals, northbridge has %d MMIO ranges: %w",
+	_, err := t.RoutableIntervals(maxRanges)
+	return err
+}
+
+// RoutableIntervals returns every node's Intervals, indexed by node, or
+// the CheckIntervalRoutable error for the first node that needs more
+// than maxRanges of them.
+func (t *Topology) RoutableIntervals(maxRanges int) ([][]Interval, error) {
+	all := make([][]Interval, t.n)
+	for node := range all {
+		all[node] = t.Intervals(node)
+		if c := len(all[node]); c > maxRanges {
+			return nil, fmt.Errorf("topology: node %d needs %d address intervals, northbridge has %d MMIO ranges: %w",
 				node, c, maxRanges, errs.ErrUnroutable)
 		}
 	}
-	return nil
+	return all, nil
 }
 
 // Validate checks that routing is total and loop-free: every ordered
-// pair (src, dst) reaches dst within n hops.
+// pair (src, dst) reaches dst within n hops. On failure it names the
+// first failing pair in row-major (src, then dst) order.
+//
+// Routing is a function of (current node, destination), so all routes
+// toward one destination form a forest: Validate resolves each
+// destination once, marking nodes known to reach it, known not to, or
+// on the walk in progress (a revisit is a loop). Every node asks
+// NextHop toward a destination at most once, n(n-1) calls in all,
+// instead of once per hop of every route.
 func (t *Topology) Validate() error {
-	for s := 0; s < t.n; s++ {
-		for d := 0; d < t.n; d++ {
-			if s == d {
-				continue
+	const (
+		unknown = iota
+		onPath
+		good
+		bad
+	)
+	mark := make([]uint8, t.n)
+	var path []int
+	failSrc, failDst := t.n, -1
+	for d := 0; d < t.n; d++ {
+		clear(mark)
+		mark[d] = good
+		// Only a source below the best failing one so far can change
+		// the answer, and the first bad source is the one to report.
+		for s := 0; s < t.n && s < failSrc; s++ {
+			path = path[:0]
+			cur := s
+			for mark[cur] == unknown {
+				mark[cur] = onPath
+				path = append(path, cur)
+				port := t.NextHop(cur, d)
+				if port < 0 {
+					break
+				}
+				if cur = t.Peer(cur, port); cur < 0 {
+					break
+				}
 			}
-			if t.HopCount(s, d) < 0 {
-				return fmt.Errorf("topology: routing from %d to %d loops or dead-ends: %w",
-					s, d, errs.ErrUnroutable)
+			// The walk reached d or a node known to reach it, or else
+			// dead-ended, met a known failure or came back on itself.
+			state := uint8(bad)
+			if cur >= 0 && mark[cur] == good {
+				state = good
+			}
+			for _, v := range path {
+				mark[v] = state
+			}
+			if mark[s] == bad {
+				failSrc, failDst = s, d
 			}
 		}
+	}
+	if failDst >= 0 {
+		return fmt.Errorf("topology: routing from %d to %d loops or dead-ends: %w",
+			failSrc, failDst, errs.ErrUnroutable)
 	}
 	return nil
 }
